@@ -45,10 +45,30 @@ def _parse_scan(spec: str, name: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"{name}: non-numeric bound in {spec!r}") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"{name}: bounds and step must be finite, got {spec!r}")
     if step <= 0.0 or hi < lo:
         raise ValueError(f"{name}: need lo <= hi and step > 0, got {spec!r}")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
+    # the epsilon absorbs rounding in (hi - lo) / step without ever adding a
+    # point past hi
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
+
+
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_vector(spec: str, name: str) -> MeasurementSetting:
@@ -193,7 +213,7 @@ def _scenario_leggett(args) -> ResultTable:
                 method="monte-carlo",
                 n_samples=args.samples,
                 seed=args.seed,
-                shards=max(1, args.jobs),
+                shards=args.jobs,
             )
             result.add_row("mean_a_mc", sampled.mean_a)
             result.add_row("mean_b_mc", sampled.mean_b)
@@ -408,18 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="result file path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: QFOUNDRY_SEED or 2026)")
-    common.add_argument("--jobs", type=int, default=1, help="worker count for sharded sampling")
+    common.add_argument(
+        "--jobs",
+        type=positive_int,
+        default=1,
+        help="number of RNG substreams for Monte Carlo sampling (default 1); "
+        "a different value gives different sampled values",
+    )
 
     sub = subparsers.add_parser("lhv-table", parents=[common], help="eight-row local hidden-variable table")
     sub.add_argument("--weights", help="8 comma-separated row weights (default: uniform)")
 
     sub = subparsers.add_parser("polarization-qm", parents=[common], help="quantum same-outcome probability")
-    sub.add_argument("--theta-rel", type=float, default=120.0, help="relative polarizer angle in degrees")
+    sub.add_argument("--theta-rel", type=finite_float, default=120.0, help="relative polarizer angle in degrees")
     sub.add_argument("--scan-theta", help="lo:hi:step scan in degrees")
 
     sub = subparsers.add_parser("chsh", parents=[common], help="CHSH optimization over settings")
     sub.add_argument("--state", choices=("singlet", "product", "partial"), default="singlet")
-    sub.add_argument("--gamma", type=float, default=22.5, help="partial-state angle in degrees")
+    sub.add_argument("--gamma", type=finite_float, default=22.5, help="partial-state angle in degrees")
 
     sub = subparsers.add_parser("leggett", parents=[common], help="Leggett bound scan or model evaluation")
     sub.add_argument("--scan-phi", default="0:90:0.01", help="lo:hi:step phi scan in degrees")
@@ -432,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("kcbs", parents=[common], help="pentagram contextuality value")
 
     sub = subparsers.add_parser("hardy", parents=[common], help="four-probability non-separability test")
-    sub.add_argument("--gamma", type=float, default=22.5, help="state angle in degrees")
+    sub.add_argument("--gamma", type=finite_float, default=22.5, help="state angle in degrees")
     sub.add_argument("--scan-gamma", help="lo:hi:step scan in degrees")
 
     sub = subparsers.add_parser("hom", parents=[common], help="two-photon interference at the 45-degree PBS")
@@ -442,20 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, default=1, help="photon number N")
 
     sub = subparsers.add_parser("popper", parents=[common], help="conditional uncertainty after a slit")
-    sub.add_argument("--sigma-plus", type=float, default=1.0)
-    sub.add_argument("--sigma-minus", type=float, default=0.5)
-    sub.add_argument("--width", type=float, default=0.5)
-    sub.add_argument("--center", type=float, default=0.0)
+    sub.add_argument("--sigma-plus", type=finite_float, default=1.0)
+    sub.add_argument("--sigma-minus", type=finite_float, default=0.5)
+    sub.add_argument("--width", type=finite_float, default=0.5)
+    sub.add_argument("--center", type=finite_float, default=0.0)
     sub.add_argument("--profile", choices=("gaussian", "hard"), default="gaussian")
     sub.add_argument("--points", type=int, default=0, help="grid points (0 = auto)")
-    sub.add_argument("--extent", type=float, default=None, help="half-width of the grid")
+    sub.add_argument("--extent", type=finite_float, default=None, help="half-width of the grid")
 
     sub = subparsers.add_parser("tlm", parents=[common], help="quantum-realizability check for correlators")
     r = 1.0 / math.sqrt(2.0)
-    sub.add_argument("--c00", type=float, default=r)
-    sub.add_argument("--c01", type=float, default=r)
-    sub.add_argument("--c10", type=float, default=r)
-    sub.add_argument("--c11", type=float, default=-r)
+    sub.add_argument("--c00", type=finite_float, default=r)
+    sub.add_argument("--c01", type=finite_float, default=r)
+    sub.add_argument("--c10", type=finite_float, default=r)
+    sub.add_argument("--c11", type=finite_float, default=-r)
 
     sub = subparsers.add_parser("verify", parents=[common], help="run every acceptance check")
     return parser

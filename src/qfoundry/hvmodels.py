@@ -26,6 +26,12 @@ Three models live here:
 
 Interval ties (lambda exactly at a threshold) resolve to the first listed
 case, i.e. toward +1; the tie set has measure zero under the uniform density.
+
+The Monte Carlo path of :func:`leggett_expectations` draws lambda in fixed
+chunks of ``SAMPLE_CHUNK`` values into one reused buffer and reduces each
+chunk to integer counts of the +1 outcomes, so memory stays bounded (about
+12 MB) for any sample count.  Chunked draws continue the same random stream
+and the counts are exact, so the results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ import numpy as np
 from .qcore import MeasurementSetting
 
 CONSISTENCY_ATOL = 1e-12
+# lambdas drawn and reduced at a time by the Monte Carlo sampler
+SAMPLE_CHUNK = 1 << 20
 
 # Table of all 2^3 deterministic single-photon assignments over the three
 # polarizer settings (0, +2pi/3, -2pi/3); +1 = pass, -1 = blocked.  Row
@@ -255,20 +263,22 @@ def leggett_expectations(
         base, extra = divmod(n_samples, shards)
         counts = [base + (1 if i < extra else 0) for i in range(shards)]
 
-    sum_a = sum_b = sum_ab = 0.0
+    plus_a = plus_b = plus_ab = 0
     for rng, count in zip(generators, counts):
-        if count == 0:
-            continue
-        lam = rng.random(count)
-        a_out = np.where(lam <= lambda_a, 1.0, -1.0)
-        b_out = np.where((x1 <= lam) & (lam <= x2), 1.0, -1.0)
-        sum_a += float(a_out.sum())
-        sum_b += float(b_out.sum())
-        sum_ab += float((a_out * b_out).sum())
+        buffer = np.empty(min(SAMPLE_CHUNK, count))
+        for start in range(0, count, SAMPLE_CHUNK):
+            lam = buffer[: min(SAMPLE_CHUNK, count - start)]
+            rng.random(out=lam)
+            a_plus = lam <= lambda_a
+            b_plus = (x1 <= lam) & (lam <= x2)
+            plus_a += int(np.count_nonzero(a_plus))
+            plus_b += int(np.count_nonzero(b_plus))
+            plus_ab += int(np.count_nonzero(a_plus == b_plus))
 
-    mean_a = sum_a / n_samples
-    mean_b = sum_b / n_samples
-    mean_ab = sum_ab / n_samples
+    # each outcome sum of +-1 values is (#plus) - (#minus) = 2 #plus - n
+    mean_a = (2 * plus_a - n_samples) / n_samples
+    mean_b = (2 * plus_b - n_samples) / n_samples
+    mean_ab = (2 * plus_ab - n_samples) / n_samples
     return LeggettExpectations(
         mean_a,
         mean_b,

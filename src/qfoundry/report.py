@@ -13,14 +13,21 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
 def format_number(value) -> str:
-    """17-significant-digit, locale-free decimal rendering."""
-    return format(float(value), ".17g")
+    """17-significant-digit, locale-free decimal rendering of a finite float.
+
+    NaN and infinities have no JSON spelling, so they raise ValueError.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot render non-finite number {value!r}")
+    return format(value, ".17g")
 
 
 def _render_scalar(value) -> str:

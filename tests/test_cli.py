@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from qfoundry import cli
+from qfoundry.report import format_number
 
 
 def run_cli(args, capsys):
@@ -186,6 +187,80 @@ class TestExitCodes:
         code, _, err = run_cli(["leggett", "--u", "0,0,1"], capsys)
         assert code == 2
         assert "--u" in err or "model mode" in err
+
+
+class TestScanSpec:
+    def test_scan_never_passes_upper_bound(self, capsys):
+        code, out, _ = run_cli(["polarization-qm", "--scan-theta", "0:1:0.4"], capsys)
+        assert code == 0
+        thetas = [row[0] for row in json.loads(out)["rows"]]
+        assert thetas == [0.0, 0.4, 0.8]
+
+    def test_leggett_scan_step_not_dividing_range(self, capsys):
+        code, out, err = run_cli(["leggett", "--scan-phi", "0:180:70"], capsys)
+        assert code == 0, err
+        assert [row[0] for row in json.loads(out)["rows"]] == [0.0, 70.0, 140.0]
+
+    def test_default_leggett_scan_ends_at_90(self, capsys):
+        code, out, _ = run_cli(["leggett"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 9001
+        assert rows[-1][0] == 90.0
+
+    def test_non_finite_scan_bound_exits_2(self, capsys):
+        code, _, err = run_cli(["hardy", "--scan-gamma", "0:inf:1"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polarization-qm", "--theta-rel", "nan"],
+            ["chsh", "--state", "partial", "--gamma", "inf"],
+            ["hardy", "--gamma", "nan"],
+            ["popper", "--sigma-plus", "nan"],
+            ["tlm", "--c00", "nan"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be a finite number" in err
+
+    def test_non_finite_weights_exit_2(self, capsys):
+        code, out, err = run_cli(["lhv-table", "--weights", "nan,0,0,0,0,0,0,1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_format_number_refuses_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_number(value)
+
+
+class TestJobs:
+    MODEL = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "1000"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(self.MODEL + ["--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+    def test_jobs_sets_substreams(self, capsys):
+        _, one, _ = run_cli(self.MODEL + ["--jobs", "1"], capsys)
+        _, three, _ = run_cli(self.MODEL + ["--jobs", "3"], capsys)
+        _, three_again, _ = run_cli(self.MODEL + ["--jobs", "3"], capsys)
+        assert three == three_again
+        assert table_value(json.loads(one), "mean_a_mc") != table_value(json.loads(three), "mean_a_mc")
 
 
 def test_console_entry_point_runs():

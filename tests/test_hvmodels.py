@@ -1,6 +1,7 @@
 """Hidden-variable models: half-plane rule, LHV table, crypto-nonlocal model."""
 
 import inspect
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,61 @@ class TestLeggettExpectations:
         b = leggett_expectations(params, method="monte-carlo", n_samples=200_001, seed=5, shards=4)
         assert a == b
         assert abs(a.mean_ab - analytic.mean_ab) < 5.0 * a.stderr_ab + 1e-12
+
+
+def float_reference_sampler(params, n_samples, seed, shards):
+    """Sample means by summing float +-1 outcome arrays drawn in one piece per shard."""
+    lambda_a, x1, x2 = hvmodels.leggett_thresholds(params)
+    if shards == 1:
+        generators = [np.random.default_rng(seed)]
+        counts = [n_samples]
+    else:
+        generators = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
+        base, extra = divmod(n_samples, shards)
+        counts = [base + (1 if i < extra else 0) for i in range(shards)]
+    sum_a = sum_b = sum_ab = 0.0
+    for rng, count in zip(generators, counts):
+        if count == 0:
+            continue
+        lam = rng.random(count)
+        a_out = np.where(lam <= lambda_a, 1.0, -1.0)
+        b_out = np.where((x1 <= lam) & (lam <= x2), 1.0, -1.0)
+        sum_a += float(a_out.sum())
+        sum_b += float(b_out.sum())
+        sum_ab += float((a_out * b_out).sum())
+    means = (sum_a / n_samples, sum_b / n_samples, sum_ab / n_samples)
+    stderrs = tuple(float(np.sqrt(max(0.0, 1.0 - m * m) / n_samples)) for m in means)
+    return means, stderrs
+
+
+class TestChunkedSampler:
+    CHUNK = hvmodels.SAMPLE_CHUNK
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("n_samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_identical_to_float_reference(self, n_samples, shards):
+        params = in_plane_params(0.2, 1.0)
+        result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=11, shards=shards)
+        means, stderrs = float_reference_sampler(params, n_samples, 11, shards)
+        assert (result.mean_a, result.mean_b, result.mean_ab) == means
+        assert (result.stderr_a, result.stderr_b, result.stderr_ab) == stderrs
+
+    def test_more_shards_than_samples(self):
+        params = in_plane_params(0.0, 0.7)
+        result = leggett_expectations(params, method="monte-carlo", n_samples=2, seed=4, shards=3)
+        means, _ = float_reference_sampler(params, 2, 4, 3)
+        assert (result.mean_a, result.mean_b, result.mean_ab) == means
+
+    def test_memory_bounded_by_one_chunk(self):
+        # drawing 8 * 2^20 lambdas at once would take 64 MB for the draw alone
+        params = in_plane_params(0.2, 1.0)
+        tracemalloc.start()
+        try:
+            leggett_expectations(params, method="monte-carlo", n_samples=8 * 2**20, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 * 1024
 
 
 class TestOutcomeRules:

@@ -1,10 +1,12 @@
 """Conditional and marginal uncertainties of the entangled Gaussian pair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qfoundry import popper
 from qfoundry.popper import (
     GaussianPairState,
     GridSpec,
@@ -37,6 +39,18 @@ def grid_marginal_oracle(state, n=512):
     dpsi = np.fft.ifft(1j * k[None, :] * np.fft.fft(psi, axis=1), axis=1)
     var_p = float(np.sum(np.abs(dpsi) ** 2)) * dx * dx
     return math.sqrt(var_x), math.sqrt(var_p)
+
+
+def dense_norm_drift_oracle(state, x, dx):
+    """|discrete 2-d norm - 1| summed over the full N x N grid, 256 rows at a time."""
+    alpha, beta = state.exponent_coefficients()
+    weights = np.exp(-2.0 * alpha * x * x)
+    total = 0.0
+    for lo in range(0, x.size, 256):
+        kernel = np.exp(-2.0 * beta * np.outer(x[lo : lo + 256], x))
+        total += float(weights[lo : lo + 256] @ (kernel @ weights))
+    norm = state.normalization**2 * total * dx * dx
+    return abs(norm - 1.0)
 
 
 class TestUnconditioned:
@@ -169,3 +183,50 @@ class TestConditional:
         report = conditional_uncertainties(state, slit, GridSpec.auto(state, slit))
         assert abs(report.position_spread - expected_dx) < 1e-6
         assert abs(report.product - 0.5) < 1e-6
+
+
+def _verify_style_grids():
+    """Base and doubled auto grids as the acceptance battery builds them, N <= 4096."""
+    for sp, sm in [(0.6, 1.7), (1.7, 0.6), (1.0, 1.0), (1.3, 0.8), (0.8, 0.6)]:
+        state = GaussianPairState(sp, sm)
+        for width in (0.3, 0.8, 2.0):
+            slit = SlitCondition(width)
+            grid = GridSpec.auto(state, slit, oversample=1.0)
+            for spec in (grid, GridSpec(grid.points * 2, grid.extent)):
+                if spec.points <= 4096:
+                    yield state, slit, spec
+
+
+class TestNormDrift:
+    def test_matches_dense_oracle_on_verify_grids(self):
+        cases = list(_verify_style_grids())
+        assert len({spec.points for _, _, spec in cases}) >= 3
+        for state, slit, spec in cases:
+            x, dx = spec.resolve(state, slit)
+            assert abs(popper._grid_norm_drift(state, x, dx) - dense_norm_drift_oracle(state, x, dx)) < 1e-13
+
+    def test_matches_dense_oracle_off_centre_slit(self):
+        state = GaussianPairState(1.0, 0.6)
+        slit = SlitCondition(0.4, center=1.5)
+        x, dx = GridSpec.auto(state, slit).resolve(state, slit)
+        assert abs(popper._grid_norm_drift(state, x, dx) - dense_norm_drift_oracle(state, x, dx)) < 1e-13
+
+    def test_matches_dense_oracle_on_truncated_domain(self):
+        state = GaussianPairState(1.0, 1.0)
+        slit = SlitCondition(1.0)
+        x, dx = GridSpec(64, extent=2.0).resolve(state, slit)
+        drift = popper._grid_norm_drift(state, x, dx)
+        assert abs(drift - dense_norm_drift_oracle(state, x, dx)) < 1e-13
+        assert drift > 0.08
+
+    def test_memory_is_linear_in_grid_points(self):
+        # one row block of the dense kernel alone would take 32 MB here
+        state = GaussianPairState(1.0, 0.5)
+        x, dx = GridSpec(8192, extent=8.0).resolve(state)
+        tracemalloc.start()
+        try:
+            popper._grid_norm_drift(state, x, dx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
