@@ -76,10 +76,9 @@ def _parse_vector(spec: str, name: str) -> MeasurementSetting:
     if len(parts) != 3:
         raise ValueError(f"{name} must be three comma-separated components, got {spec!r}")
     try:
-        values = [float(p) for p in parts]
+        return MeasurementSetting.normalized([float(p) for p in parts])
     except ValueError as exc:
-        raise ValueError(f"{name}: non-numeric component in {spec!r}") from exc
-    return MeasurementSetting.normalized(values)
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _meta(scenario: str, args, params: dict, provenance: dict) -> dict:
@@ -346,10 +345,7 @@ def _scenario_noon(args) -> ResultTable:
 def _scenario_popper(args) -> ResultTable:
     state = popper.GaussianPairState(args.sigma_plus, args.sigma_minus)
     slit = popper.SlitCondition(args.width, args.center, args.profile)
-    if args.points:
-        grid = popper.GridSpec(args.points, args.extent)
-    else:
-        grid = popper.GridSpec.auto(state, slit)
+    grid = popper.GridSpec(args.points, args.extent) if args.points else popper.GridSpec.auto(state, slit)
     conditional = popper.conditional_uncertainties(state, slit, grid)
     unconditioned = popper.unconditioned_uncertainties(state)
     x, _ = grid.resolve(state, slit)
@@ -473,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--width", type=finite_float, default=0.5)
     sub.add_argument("--center", type=finite_float, default=0.0)
     sub.add_argument("--profile", choices=("gaussian", "hard"), default="gaussian")
-    sub.add_argument("--points", type=int, default=0, help="grid points (0 = auto)")
+    sub.add_argument("--points", type=int, default=0, help=f"grid points (0 = auto; at most {popper.MAX_GRID_POINTS})")
     sub.add_argument("--extent", type=finite_float, default=None, help="half-width of the grid")
 
     sub = subparsers.add_parser("tlm", parents=[common], help="quantum-realizability check for correlators")

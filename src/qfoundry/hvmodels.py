@@ -98,6 +98,8 @@ class LocalHVTable:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size != len(LOCAL_HV_ROWS):
             raise ValueError(f"expected {len(LOCAL_HV_ROWS)} weights, got {w.size}")
+        if not np.isfinite(w).all():
+            raise ValueError(f"non-finite weights {w.tolist()!r}")
         if w.min() < -1e-12:
             raise ValueError(f"weights must be nonnegative, got min {w.min()!r}")
         total = float(w.sum())

@@ -26,6 +26,11 @@ f(s) = exp(-s^2 / (4 sigma_plus^2)) and g(d) = exp(-d^2 / (4 sigma_minus^2)),
 so the N x N double sum reduces to one sum over grid diagonals of g times
 windows of prefix sums of f: O(N) time and memory.
 
+psi_2 is one O(N log N) FFT convolution over every grid row: with b = |beta|,
+exp(-beta x1 x2) = exp(b (x1^2 + x2^2) / 2) exp(-b (x1 -+ x2)^2 / 2) (the i*j split
+of Bluestein's chirp-z transform), and the first factor joins the envelope in the
+damping exp(-(alpha - b/2) x^2), alpha - b/2 > 0.  Grids hold at most MAX_GRID_POINTS.
+
 Slit width conventions: for the Gaussian profile ``width`` is the standard
 deviation of the intensity profile (amplitude exp(-(x - c)^2 / (4 w^2)));
 for the hard profile it is the full aperture width (intensity variance
@@ -42,10 +47,7 @@ import numpy as np
 UNCERTAINTY_BOUND = 0.5
 _MIN_POINTS_PER_SCALE = 16
 _NORM_DRIFT_TOL = 1e-6
-# Rows whose slit-weighted amplitude is below this relative cutoff cannot
-# move double-precision sums; skipping them is exact at working precision.
-_ROW_WEIGHT_CUTOFF = 1e-30
-_BLOCK_ENTRIES = 1 << 22
+MAX_GRID_POINTS = 1 << 20
 
 
 class UnderResolvedGridError(ValueError):
@@ -60,8 +62,8 @@ class GaussianPairState:
     sigma_minus: float
 
     def __post_init__(self):
-        if self.sigma_plus <= 0.0 or self.sigma_minus <= 0.0:
-            raise ValueError("both spreads must be positive")
+        if not (0.0 < self.sigma_plus < math.inf and 0.0 < self.sigma_minus < math.inf):
+            raise ValueError(f"spreads must be positive and finite, got {self.sigma_plus!r}, {self.sigma_minus!r}")
         object.__setattr__(self, "sigma_plus", float(self.sigma_plus))
         object.__setattr__(self, "sigma_minus", float(self.sigma_minus))
 
@@ -89,8 +91,8 @@ class SlitCondition:
     profile: str = "gaussian"
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("slit width must be positive")
+        if not (0.0 < self.width < math.inf and math.isfinite(self.center)):
+            raise ValueError(f"slit needs finite width > 0 and finite center, got {self.width!r}, {self.center!r}")
         if self.profile not in ("gaussian", "hard"):
             raise ValueError(f"unknown slit profile {self.profile!r}")
         object.__setattr__(self, "width", float(self.width))
@@ -114,16 +116,16 @@ class SlitCondition:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid with ``points`` samples over [-extent, extent)."""
+    """Uniform grid with 4 to ``MAX_GRID_POINTS`` samples over [-extent, extent)."""
 
     points: int
     extent: float | None = None
 
     def __post_init__(self):
-        if self.points < 4:
-            raise ValueError("grid needs at least 4 points")
-        if self.extent is not None and self.extent <= 0.0:
-            raise ValueError("extent must be positive")
+        if not 4 <= self.points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid needs 4 to MAX_GRID_POINTS = {MAX_GRID_POINTS} points, got {self.points}")
+        if self.extent is not None and not 0.0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent!r}")
         object.__setattr__(self, "points", int(self.points))
 
     def resolve(self, state: GaussianPairState, slit: SlitCondition | None = None):
@@ -142,6 +144,8 @@ class GridSpec:
         extent = 8.0 * max(state.sigma_plus, state.sigma_minus) + abs(slit.center)
         smallest = min(state.sigma_plus, state.sigma_minus, slit.width)
         needed = 2.0 * extent * _MIN_POINTS_PER_SCALE * oversample / smallest
+        if needed > MAX_GRID_POINTS:
+            raise ValueError(f"scale {smallest:.3g} needs {needed:.3g} > MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points")
         points = 1 << max(4, math.ceil(math.log2(needed)))
         return cls(points, extent)
 
@@ -181,12 +185,6 @@ def _check_kernel_range(state: GaussianPairState, x: np.ndarray) -> None:
         )
 
 
-def _blocked_rows(n_rows: int, n_cols: int):
-    block = max(1, _BLOCK_ENTRIES // max(1, n_cols))
-    for start in range(0, n_rows, block):
-        yield start, min(n_rows, start + block)
-
-
 def _grid_norm_drift(state: GaussianPairState, x: np.ndarray, dx: float) -> float:
     """|discrete 2-d norm - 1| of the analytically normalized pair state.
 
@@ -214,20 +212,25 @@ def _grid_norm_drift(state: GaussianPairState, x: np.ndarray, dx: float) -> floa
 def _conditional_wavefunction(
     state: GaussianPairState, slit: SlitCondition, x: np.ndarray, dx: float
 ) -> np.ndarray:
+    """Normalized psi_2 as one zero-padded rfft/irfft convolution; see the module docstring.
+
+    exp(-beta x1 x2) = exp(b (x1^2 + x2^2) / 2) exp(-b (x1 -+ x2)^2 / 2) with b = |beta|; the
+    damping exp(-(alpha - b/2) x^2), alpha - b/2 > 0, weights the slit profile and the output.
+    No row is dropped: O(N log N) time and O(N) memory.
+    """
     alpha, beta = state.exponent_coefficients()
-    envelope = np.exp(-alpha * x * x)
-    row_weights = slit.amplitude_profile(x) * envelope
-    peak = row_weights.max()
-    if peak == 0.0:
+    damping = np.exp(-(alpha - 0.5 * abs(beta)) * x * x)
+    source = slit.amplitude_profile(x) * damping
+    if source.max() == 0.0:
         raise ValueError("slit aperture does not overlap the grid")
-    keep = np.flatnonzero(row_weights > peak * _ROW_WEIGHT_CUTOFF)
-    xi = x[keep]
-    wi = row_weights[keep]
-    psi2 = np.zeros(x.size)
-    for lo, hi in _blocked_rows(xi.size, x.size):
-        kernel = np.exp(-beta * np.outer(xi[lo:hi], x))
-        psi2 += wi[lo:hi] @ kernel
-    psi2 *= envelope * dx * state.normalization
+    n = x.size
+    if beta > 0.0:  # g of x1 + x2 = 2 x_0 + (i + j) dx: convolve the reversed source
+        source, u = source[::-1], 2.0 * x[0] + dx * np.arange(2 * n - 1)
+    else:  # g of x1 - x2 = (j - i) dx
+        u = dx * np.arange(1 - n, n)
+    size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1, so the slice below does not wrap
+    spectrum = np.fft.rfft(source, size) * np.fft.rfft(np.exp(-0.5 * abs(beta) * u * u), size)
+    psi2 = np.fft.irfft(spectrum, size)[n - 1 : 2 * n - 1] * damping * dx * state.normalization
     norm = math.sqrt(float(np.sum(psi2 * psi2)) * dx)
     if norm == 0.0:
         raise ValueError("conditional wavefunction vanishes on the grid")
@@ -268,9 +271,7 @@ def conditional_uncertainties(
             "grid extent or spacing is insufficient"
         )
     psi2 = _conditional_wavefunction(state, slit, x, dx)
-    position = _moments(x, psi2 * psi2, dx)
-    momentum = _momentum_spread(psi2, dx)
-    return UncertaintyReport(position, momentum)
+    return UncertaintyReport(_moments(x, psi2 * psi2, dx), _momentum_spread(psi2, dx))
 
 
 def unconditioned_uncertainties(state: GaussianPairState) -> UncertaintyReport:

@@ -133,15 +133,15 @@ class MeasurementSetting:
         arr.setflags(write=False)
         object.__setattr__(self, "direction", arr)
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > ATOL:
-            raise ValueError(f"setting is not a unit vector: |n| = {norm!r}")
+        if not abs(norm - 1.0) <= ATOL:
+            raise ValueError(f"setting is not a finite unit vector: |n| = {norm!r}")
 
     @classmethod
     def normalized(cls, vector) -> "MeasurementSetting":
         arr = np.asarray(vector, dtype=float).reshape(-1)
         norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize {arr.tolist()!r}: need finite components, not all zero")
         return cls(arr / norm)
 
     @classmethod

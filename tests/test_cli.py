@@ -237,7 +237,14 @@ class TestNonFiniteInput:
         code, out, err = run_cli(["lhv-table", "--weights", "nan,0,0,0,0,0,0,1"], capsys)
         assert code == 2
         assert out == ""
-        assert "non-finite" in err
+        assert "non-finite weights" in err
+
+    def test_non_finite_vector_exits_2_naming_flag(self, capsys):
+        code, out, err = run_cli(["leggett", "--u", "nan,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --u: ")
+        assert "finite" in err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_format_number_refuses_non_finite(self, value):

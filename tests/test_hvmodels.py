@@ -77,6 +77,12 @@ class TestLocalHVTable:
         with pytest.raises(ValueError):
             LocalHVTable(np.array([1.5, -0.5, 0, 0, 0, 0, 0, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_must_be_finite(self, bad):
+        # NaN passes both the sign and the sum test, so it needs its own check
+        with pytest.raises(ValueError, match="non-finite weights"):
+            LocalHVTable(np.array([bad, 0, 0, 0, 0, 0, 0, 1.0]))
+
     def test_minimum_is_exactly_one_third(self):
         assert lhv_minimum_same_probability() == Fraction(1, 3)
 

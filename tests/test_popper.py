@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfoundry import popper
+from qfoundry import cli, popper, verify
 from qfoundry.popper import (
+    MAX_GRID_POINTS,
     GaussianPairState,
     GridSpec,
     SlitCondition,
@@ -51,6 +52,36 @@ def dense_norm_drift_oracle(state, x, dx):
         total += float(weights[lo : lo + 256] @ (kernel @ weights))
     norm = state.normalization**2 * total * dx * dx
     return abs(norm - 1.0)
+
+
+def dense_conditional_oracle(state, slit, x, dx):
+    """Normalized psi_2 from the dense exp(-beta x1 x2) kernel, 256 rows at a time."""
+    alpha, beta = state.exponent_coefficients()
+    envelope = np.exp(-alpha * x * x)
+    row_weights = slit.amplitude_profile(x) * envelope
+    psi2 = np.zeros(x.size)
+    for lo in range(0, x.size, 256):
+        kernel = np.exp(-beta * np.outer(x[lo : lo + 256], x))
+        psi2 += row_weights[lo : lo + 256] @ kernel
+    psi2 *= envelope * dx * state.normalization
+    return psi2 / math.sqrt(float(np.sum(psi2 * psi2)) * dx)
+
+
+def gaussian_slit_kappa(state, width):
+    """psi_2 ~ exp(-kappa x^2) for a Gaussian slit, by completing the square (no grid)."""
+    alpha, beta = state.exponent_coefficients()
+    return alpha - beta**2 / (4.0 * (alpha + 1.0 / (4.0 * width * width)))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while ``fn(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 class TestUnconditioned:
@@ -160,6 +191,18 @@ class TestConditional:
         with pytest.raises(ValueError):
             SlitCondition(1.0, profile="triangular")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_value_types_reject_non_finite(self, bad):
+        for make in (
+            lambda: GaussianPairState(bad, 1.0),
+            lambda: GaussianPairState(1.0, bad),
+            lambda: SlitCondition(bad),
+            lambda: SlitCondition(0.5, bad),
+            lambda: GridSpec(16, bad),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
     def test_extreme_spread_ratio_rejected(self):
         # the coupling kernel would overflow float64 before the envelope
         # damps it; the operation must refuse rather than return NaNs
@@ -230,3 +273,81 @@ class TestNormDrift:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
+
+
+def _kernel_cases():
+    """beta < 0, > 0 and = 0; Gaussian and hard slits; centres 0 and 0.7; auto and doubled grids."""
+    for sp, sm in [(1.0, 0.5), (0.5, 1.0), (0.8, 0.8)]:
+        state = GaussianPairState(sp, sm)
+        for width, profile in [(0.4, "gaussian"), (0.9, "hard")]:
+            for center in (0.0, 0.7):
+                slit = SlitCondition(width, center, profile)
+                grid = GridSpec.auto(state, slit)
+                for spec in (grid, GridSpec(grid.points * 2, grid.extent)):
+                    yield state, slit, spec
+
+
+class TestConditionalKernel:
+    def test_matches_dense_oracle(self):
+        cases = list(_kernel_cases())
+        assert {np.sign(state.exponent_coefficients()[1]) for state, _, _ in cases} == {-1.0, 0.0, 1.0}
+        for state, slit, spec in cases:
+            assert spec.points <= 8192
+            x, dx = spec.resolve(state, slit)
+            psi = popper._conditional_wavefunction(state, slit, x, dx)
+            oracle = dense_conditional_oracle(state, slit, x, dx)
+            assert np.max(np.abs(psi - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_gaussian_slit_matches_grid_free_kappa(self):
+        # on every state and width of the acceptance battery, centred and off centre
+        worst = 0.0
+        for sp in verify.POPPER_SIGMAS:
+            for sm in verify.POPPER_SIGMAS:
+                state = GaussianPairState(sp, sm)
+                for width in verify.POPPER_WIDTHS:
+                    kappa = gaussian_slit_kappa(state, width)
+                    for center in (0.0, 0.7):
+                        slit = SlitCondition(width, center)
+                        report = conditional_uncertainties(state, slit, GridSpec.auto(state, slit))
+                        dx_exact, dp_exact = 1.0 / (2.0 * math.sqrt(kappa)), math.sqrt(kappa)
+                        worst = max(
+                            worst,
+                            abs(report.position_spread - dx_exact) / dx_exact,
+                            abs(report.momentum_spread - dp_exact) / dp_exact,
+                        )
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("sp,sm", [(1.0, 0.5), (0.5, 1.0)])
+    def test_memory_is_linear_in_grid_points(self, sp, sm):
+        # one 64-row block of the dense kernel at N = 2^16 alone is 32 MB
+        state = GaussianPairState(sp, sm)
+        slit = SlitCondition(0.5)
+        x, dx = GridSpec(1 << 16, extent=8.0).resolve(state, slit)
+        peak, psi = traced_peak(popper._conditional_wavefunction, state, slit, x, dx)
+        assert psi.shape == x.shape
+        assert peak < 16 * 1024 * 1024
+
+
+class TestGridBound:
+    def test_cap_is_accepted_and_cap_plus_one_rejected(self):
+        assert GridSpec(MAX_GRID_POINTS).points == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            GridSpec(MAX_GRID_POINTS + 1)
+
+    def test_auto_grid_beyond_cap_rejected(self):
+        state = GaussianPairState(1.0, 0.5)
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            GridSpec.auto(state, SlitCondition(1e-6))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["popper", "--points", str(MAX_GRID_POINTS + 1)], ["popper", "--width", "1e-6"], ["popper", "--width", "1e-320"]],
+        ids=["points", "width", "subnormal-width"],
+    )
+    def test_cli_exits_2_without_allocating(self, argv, capsys):
+        peak, code = traced_peak(cli.main, argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "MAX_GRID_POINTS" in captured.err
+        assert peak < 1024 * 1024

@@ -58,6 +58,13 @@ class TestContainers:
         s = MeasurementSetting.normalized([1.0, 1.0, 0.0])
         assert np.isclose(np.linalg.norm(s.direction), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_setting_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting([bad, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSetting.normalized([bad, 0.0, 1.0])
+
     def test_index_convention_subsystem0_slowest(self):
         # |0> x |1| on (2, 2) puts the amplitude at flat index 1
         state = basis_state((2, 2), (0, 1))
