@@ -10,7 +10,8 @@ single-particle state.
 
 Every quantum number produced here goes through the Born rule / expectation
 machinery in :mod:`qfoundry.qcore`; closed forms appear only as the bounds
-themselves or as documented cross-checks.
+themselves or as documented cross-checks.  scipy is imported only on the
+first :func:`chsh_optimize` call, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qcore
 from .qcore import MeasurementSetting, Observable, StateVector
@@ -28,6 +28,13 @@ from .qcore import MeasurementSetting, Observable, StateVector
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 KCBS_CLASSICAL_BOUND = -3.0
 KCBS_QUANTUM_VALUE = 5.0 - 4.0 * math.sqrt(5.0)
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call so that importing qfoundry does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ class CorrelationRecord:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (2, 2):
             raise ValueError(f"expected a 2x2 correlator table, got shape {c.shape}")
-        if np.max(np.abs(c)) > 1.0 + 1e-12:
+        if not np.max(np.abs(c)) <= 1.0 + 1e-12:
             raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {np.max(np.abs(c))!r}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -50,7 +57,7 @@ class CorrelationRecord:
             m = getattr(self, name)
             if m is not None:
                 m = np.asarray(m, dtype=float).reshape(-1)
-                if m.size != 2 or np.max(np.abs(m)) > 1.0 + 1e-12:
+                if m.size != 2 or not np.max(np.abs(m)) <= 1.0 + 1e-12:
                     raise ValueError(f"{name} must be two values in [-1, 1]")
                 m.setflags(write=False)
                 object.__setattr__(self, name, m)

@@ -169,22 +169,6 @@ def _check_resolution(state: GaussianPairState, slit: SlitCondition, dx: float) 
         )
 
 
-def _check_kernel_range(state: GaussianPairState, x: np.ndarray) -> None:
-    # the coupling factor exp(-beta x1 x2) is evaluated before the x1
-    # envelope damps it; its largest weighted exponent is beta^2 x2^2/(2 alpha)
-    # and must stay below the float64 range
-    alpha, beta = state.exponent_coefficients()
-    peak = beta * beta * float(np.max(np.abs(x))) ** 2 / (2.0 * alpha)
-    if peak > 600.0:
-        ratio = max(state.sigma_plus, state.sigma_minus) / min(
-            state.sigma_plus, state.sigma_minus
-        )
-        raise ValueError(
-            f"spread ratio {ratio:.3g} is too extreme for the direct grid kernel "
-            "(coupling exponent would overflow); reduce the ratio or the extent"
-        )
-
-
 def _grid_norm_drift(state: GaussianPairState, x: np.ndarray, dx: float) -> float:
     """|discrete 2-d norm - 1| of the analytically normalized pair state.
 
@@ -263,7 +247,6 @@ def conditional_uncertainties(
     """
     x, dx = grid.resolve(state, slit)
     _check_resolution(state, slit, dx)
-    _check_kernel_range(state, x)
     drift = _grid_norm_drift(state, x, dx)
     if drift > _NORM_DRIFT_TOL:
         raise UnderResolvedGridError(

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -278,3 +281,27 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "qfoundry" in result.stdout
+
+
+def test_scipy_is_loaded_only_by_the_chsh_optimization():
+    # a fresh interpreter: other tests in this process may have loaded scipy
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import qfoundry, qfoundry.cli as cli
+
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(argv)
+
+        codes = [run(["kcbs"]), run(["popper", "--sigma-plus", "1.0", "--sigma-minus", "0.5", "--width", "0.5"])]
+        before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        codes.append(run(["chsh"]))
+        print(json.dumps({"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}))
+        """
+    )
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [0, 0, 0], "before": [], "after": True}

@@ -10,6 +10,8 @@ import functools
 import io
 import os
 import pathlib
+import shlex
+import tempfile
 
 import pytest
 
@@ -17,7 +19,13 @@ from qfoundry import cli, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 REPORT_SEEDS = (2026, 17, 99)
+# fixture name -> argv of one README example; an example that writes
+# ``--output FILE`` is pinned by FILE's bytes, and a CSV one also by FILE.meta.json
 README_EXAMPLES = {
+    "readme_kcbs.json": ["kcbs"],
+    "readme_leggett_scan.csv": ["leggett", "--scan-phi", "0:90:0.01", "--format", "csv", "--output", "scan.csv"],
+    "readme_hardy.json": ["hardy", "--gamma", "22.5"],
+    "readme_chsh_partial.json": ["chsh", "--state", "partial", "--gamma", "22.5"],
     "readme_popper.json": ["popper", "--sigma-plus", "1.0", "--sigma-minus", "0.5", "--width", "0.5"],
     "readme_leggett_samples.json": [
         "leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "1000000",
@@ -29,22 +37,46 @@ def verify_report(seed):
     return verify.render_report(verify.run_core_checks(seed), seed)
 
 
-def cli_stdout(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    assert code == 0, argv
-    return out.getvalue()
+def cli_output(argv, suffix=""):
+    """Stdout of ``qfoundry argv``, or the file it writes with ``--output`` (plus ``suffix``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        if "--output" in argv:
+            at = argv.index("--output") + 1
+            argv[at] = os.path.join(tmp, argv[at])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code == 0, argv
+        if "--output" not in argv:
+            return out.getvalue()
+        assert out.getvalue() == "", argv
+        return pathlib.Path(argv[at] + suffix).read_bytes().decode("utf-8")
+
+
+def readme_examples():
+    """argv of every ``qfoundry`` line in the README's example block, except ``verify``."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["qfoundry"] and argv[1:2] != ["verify"]]
 
 
 FIXTURES = {f"verify_report_seed{seed}.json": functools.partial(verify_report, seed) for seed in REPORT_SEEDS}
-FIXTURES.update({name: functools.partial(cli_stdout, argv) for name, argv in README_EXAMPLES.items()})
+for name, argv in README_EXAMPLES.items():
+    FIXTURES[name] = functools.partial(cli_output, argv)
+    if "csv" in argv:
+        FIXTURES[name + ".meta.json"] = functools.partial(cli_output, argv, ".meta.json")
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_output_matches_golden_bytes(name, monkeypatch):
     monkeypatch.delenv("QFOUNDRY_SEED", raising=False)
     assert FIXTURES[name]().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_every_readme_example_is_pinned():
+    assert sorted(readme_examples()) == sorted(README_EXAMPLES.values())
 
 
 if __name__ == "__main__":

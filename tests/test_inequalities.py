@@ -91,6 +91,27 @@ class TestChsh:
         with pytest.raises(ValueError):
             CorrelationRecord(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_record_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="correlators"):
+            CorrelationRecord(np.array([[bad, 0.0], [0.0, 0.0]]))
+        for name in ("marginals_a", "marginals_b"):
+            with pytest.raises(ValueError, match=name):
+                CorrelationRecord(np.zeros((2, 2)), **{name: np.array([0.0, bad])})
+
+    def test_optimizer_goes_through_module_minimize(self, monkeypatch):
+        # the benchmark tracer counts Nelder-Mead evaluations by rebinding
+        # inequalities.minimize; chsh_optimize must look it up at call time
+        original, results = ineq.minimize, []
+
+        def counting(fun, x0, **kwargs):
+            results.append(original(fun, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(ineq, "minimize", counting)
+        chsh_optimize(qcore.singlet())
+        assert len(results) == 1 and results[0].nfev > 0
+
     def test_optimizer_reaches_tsirelson_on_singlet(self):
         optimum = chsh_optimize(qcore.singlet())
         assert abs(optimum.s_max - 2.0 * SQRT2) < 1e-6

@@ -203,13 +203,24 @@ class TestConditional:
             with pytest.raises(ValueError, match="finite"):
                 make()
 
-    def test_extreme_spread_ratio_rejected(self):
-        # the coupling kernel would overflow float64 before the envelope
-        # damps it; the operation must refuse rather than return NaNs
-        state = GaussianPairState(20.0, 0.5)
+    @pytest.mark.parametrize("sp,sm", [(20.0, 0.5), (0.5, 20.0)])
+    def test_extreme_spread_ratio_matches_grid_free_kappa(self, sp, sm):
+        # spread ratio 40: every factor of the FFT kernel is <= 1, so nothing
+        # overflows; NaN spreads would fail the <= comparisons
+        state = GaussianPairState(sp, sm)
+        report = conditional_uncertainties(state, SlitCondition(0.5), GridSpec(16384))
+        kappa = gaussian_slit_kappa(state, 0.5)
+        dx_exact, dp_exact = 1.0 / (2.0 * math.sqrt(kappa)), math.sqrt(kappa)
+        assert abs(report.position_spread - dx_exact) <= 1e-10 * dx_exact
+        assert abs(report.momentum_spread - dp_exact) <= 1e-10 * dp_exact
+
+    def test_more_extreme_ratios_end_in_a_clean_error(self):
+        # ratios 1e6 and 4000: refused before any NaN can appear
         slit = SlitCondition(0.5)
-        with pytest.raises(ValueError, match="spread ratio"):
-            conditional_uncertainties(state, slit, GridSpec(16384))
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            GridSpec.auto(GaussianPairState(1e3, 1e-3), slit)
+        with pytest.raises(UnderResolvedGridError, match="grid spacing"):
+            conditional_uncertainties(GaussianPairState(200.0, 0.05), slit, GridSpec(65536))
 
     def test_gaussian_conditional_matches_closed_form_spreads(self):
         # with aperture amplitude exp(-(x1)^2/(4 w^2)) the conditional state
