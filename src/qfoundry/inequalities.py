@@ -10,8 +10,9 @@ single-particle state.
 
 Every quantum number produced here goes through the Born rule / expectation
 machinery in :mod:`qfoundry.qcore`; closed forms appear only as the bounds
-themselves or as documented cross-checks.  scipy is imported only on the
-first :func:`chsh_optimize` call, so importing this module does not load it.
+themselves, as documented cross-checks, or to choose the CHSH-optimal
+settings, which follow exactly from the singular values of the correlation
+matrix.  No code path here loads scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ KCBS_CLASSICAL_BOUND = -3.0
 KCBS_QUANTUM_VALUE = 5.0 - 4.0 * math.sqrt(5.0)
 
 
+# Nothing in qfoundry calls this; it is kept only because perfbench/tracer.py
+# wraps it to count Nelder-Mead evaluations.
 def minimize(fun, x0, **kwargs):
     """scipy.optimize.minimize, imported on the first call so that importing qfoundry does not load scipy."""
     from scipy.optimize import minimize as scipy_minimize
@@ -131,59 +134,24 @@ def _chsh_planar_frames(state: StateVector):
     return t, u, s, vt
 
 
-def chsh_optimize(
-    state: StateVector,
-    coarse_step_deg: float = 10.0,
-    refine_xatol: float = 1e-8,
-) -> ChshOptimum:
-    """Maximize the CHSH value over four measurement settings.
+def chsh_optimize(state: StateVector) -> ChshOptimum:
+    """Maximize the CHSH value over four measurement settings, in closed form.
 
-    Settings are parametrized by one angle each inside the top-2 singular
-    planes of the correlation matrix (off-plane components cannot increase
-    any correlator entering S).  A coarse grid over the four angles seeds a
-    Nelder-Mead refinement; the returned value is re-evaluated through the
-    full Born-rule machinery on the reconstructed unit vectors.
+    With T = U diag(s) V^t the correlation matrix and s0 >= s1 its top two
+    singular values, the maximum is 2 sqrt(s0^2 + s1^2) (Horodecki,
+    Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  It is reached at
+    a0 = u_0, a1 = u_1 and b0, b1 = cos(t) v_0 +- sin(t) v_1 with
+    t = atan2(s1, s0); the returned value is re-evaluated through the full
+    Born-rule machinery on these unit vectors.
     """
     _, u, s, vt = _chsh_planar_frames(state)
-    s0, s1 = float(s[0]), float(s[1])
-
-    angles = np.deg2rad(np.arange(0.0, 360.0, float(coarse_step_deg)))
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
-    # e[p, q] = E(alpha_p, beta_q) in the planar parametrization
-    e = s0 * np.outer(cos_a, cos_a) + s1 * np.outer(sin_a, sin_a)
-    s_grid = (
-        e[:, None, :, None]  # (a0, b0)
-        + e[:, None, None, :]  # (a0, b1)
-        + e[None, :, :, None]  # (a1, b0)
-        - e[None, :, None, :]  # (a1, b1)
+    theta = math.atan2(float(s[1]), float(s[0]))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    settings_a = (MeasurementSetting.normalized(u[:, 0]), MeasurementSetting.normalized(u[:, 1]))
+    settings_b = (
+        MeasurementSetting.normalized(cos_t * vt[0] + sin_t * vt[1]),
+        MeasurementSetting.normalized(cos_t * vt[0] - sin_t * vt[1]),
     )
-    flat_idx = int(np.argmax(s_grid))
-    i0, i1, j0, j1 = np.unravel_index(flat_idx, s_grid.shape)
-    x0 = np.array([angles[i0], angles[i1], angles[j0], angles[j1]])
-
-    def planar_e(alpha: float, beta: float) -> float:
-        return s0 * math.cos(alpha) * math.cos(beta) + s1 * math.sin(alpha) * math.sin(beta)
-
-    def negative_s(x: np.ndarray) -> float:
-        a0, a1, b0, b1 = x
-        return -(planar_e(a0, b0) + planar_e(a0, b1) + planar_e(a1, b0) - planar_e(a1, b1))
-
-    result = minimize(
-        negative_s,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": refine_xatol, "fatol": 1e-14, "maxiter": 20_000, "maxfev": 20_000},
-    )
-    a0, a1, b0, b1 = result.x
-
-    def alice_vec(alpha: float) -> MeasurementSetting:
-        return MeasurementSetting.normalized(math.cos(alpha) * u[:, 0] + math.sin(alpha) * u[:, 1])
-
-    def bob_vec(beta: float) -> MeasurementSetting:
-        return MeasurementSetting.normalized(math.cos(beta) * vt[0] + math.sin(beta) * vt[1])
-
-    settings_a = (alice_vec(a0), alice_vec(a1))
-    settings_b = (bob_vec(b0), bob_vec(b1))
     c = np.array(
         [[setting_correlation(state, ai, bj) for bj in settings_b] for ai in settings_a]
     )
@@ -212,20 +180,25 @@ def chsh_planar_grid_value(state: StateVector, step_deg: float = 1.0) -> float:
 _PHI_DOMAIN_ATOL = 1e-9
 
 
-def leggett_bound(phi: float) -> float:
-    """Crypto-nonlocal upper bound 4 - (4/pi)|sin(phi/2)| for phi in [0, pi]."""
-    phi = float(phi)
-    if not -_PHI_DOMAIN_ATOL <= phi <= np.pi + _PHI_DOMAIN_ATOL:
-        raise ValueError(f"phi = {phi!r} outside [0, pi]")
-    return 4.0 - (4.0 / np.pi) * abs(np.sin(phi / 2.0))
+def _phi_in_domain(phi) -> np.ndarray:
+    """``phi`` as a float array, refused unless it is non-empty and lies in [0, pi]."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.size == 0:
+        raise ValueError("phi is empty")
+    lo, hi = phi.min(), phi.max()
+    if not (-_PHI_DOMAIN_ATOL <= lo and hi <= np.pi + _PHI_DOMAIN_ATOL):
+        raise ValueError(f"phi in [{float(lo)!r}, {float(hi)!r}] outside [0, pi]")
+    return phi
 
 
-def leggett_quantum_value(phi: float) -> float:
-    """Quantum value |2(cos(phi) + 1)| of the same two-term combination."""
-    phi = float(phi)
-    if not -_PHI_DOMAIN_ATOL <= phi <= np.pi + _PHI_DOMAIN_ATOL:
-        raise ValueError(f"phi = {phi!r} outside [0, pi]")
-    return abs(2.0 * (np.cos(phi) + 1.0))
+def leggett_bound(phi: float | np.ndarray) -> float | np.ndarray:
+    """Crypto-nonlocal upper bound 4 - (4/pi)|sin(phi/2)| for phi in [0, pi], elementwise."""
+    return 4.0 - (4.0 / np.pi) * np.abs(np.sin(_phi_in_domain(phi) / 2.0))
+
+
+def leggett_quantum_value(phi: float | np.ndarray) -> float | np.ndarray:
+    """Quantum value |2(cos(phi) + 1)| of the same two-term combination, elementwise."""
+    return np.abs(2.0 * (np.cos(_phi_in_domain(phi)) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -249,12 +222,8 @@ class LeggettScan:
 def leggett_violation_scan(phi_values: np.ndarray) -> LeggettScan:
     """Evaluate quantum value, bound and their gap on a phi grid."""
     phi = np.asarray(phi_values, dtype=float).reshape(-1)
-    if phi.size == 0:
-        raise ValueError("phi grid is empty")
-    if phi.min() < -_PHI_DOMAIN_ATOL or phi.max() > np.pi + _PHI_DOMAIN_ATOL:
-        raise ValueError("phi grid must lie within [0, pi]")
-    s_qm = np.abs(2.0 * (np.cos(phi) + 1.0))
-    bound = 4.0 - (4.0 / np.pi) * np.abs(np.sin(phi / 2.0))
+    s_qm = leggett_quantum_value(phi)
+    bound = leggett_bound(phi)
     return LeggettScan(phi, s_qm, bound, s_qm - bound)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfoundry import inequalities as ineq
 from qfoundry import qcore
@@ -99,22 +101,21 @@ class TestChsh:
             with pytest.raises(ValueError, match=name):
                 CorrelationRecord(np.zeros((2, 2)), **{name: np.array([0.0, bad])})
 
-    def test_optimizer_goes_through_module_minimize(self, monkeypatch):
-        # the benchmark tracer counts Nelder-Mead evaluations by rebinding
-        # inequalities.minimize; chsh_optimize must look it up at call time
-        original, results = ineq.minimize, []
+    def test_optimizer_needs_no_numerical_search(self, monkeypatch):
+        # the optimum is closed form: the scipy wrapper must never be reached
+        rng = np.random.default_rng(5)
+        states = [qcore.singlet(), partially_entangled(np.pi / 8.0), qcore.random_state((2, 2), rng)]
+        expected = [chsh_optimize(state).s_max for state in states]
 
-        def counting(fun, x0, **kwargs):
-            results.append(original(fun, x0, **kwargs))
-            return results[-1]
+        def refuse(*args, **kwargs):
+            raise AssertionError("chsh_optimize called inequalities.minimize")
 
-        monkeypatch.setattr(ineq, "minimize", counting)
-        chsh_optimize(qcore.singlet())
-        assert len(results) == 1 and results[0].nfev > 0
+        monkeypatch.setattr(ineq, "minimize", refuse)
+        assert [chsh_optimize(state).s_max for state in states] == expected
 
     def test_optimizer_reaches_tsirelson_on_singlet(self):
         optimum = chsh_optimize(qcore.singlet())
-        assert abs(optimum.s_max - 2.0 * SQRT2) < 1e-6
+        assert abs(optimum.s_max - 2.0 * SQRT2) < 1e-14
 
     def test_optimizer_settings_match_canonical_gram(self):
         optimum = chsh_optimize(qcore.singlet())
@@ -122,10 +123,10 @@ class TestChsh:
         b0, b1 = optimum.settings_b
         # same-party settings orthogonal, cross dots at 1/sqrt(2) with an
         # odd number of sign flips: invariant under global rotations
-        assert abs(a0.dot(a1)) < 1e-5
-        assert abs(b0.dot(b1)) < 1e-5
+        assert abs(a0.dot(a1)) < 1e-14
+        assert abs(b0.dot(b1)) < 1e-14
         cross = [a0.dot(b0), a0.dot(b1), a1.dot(b0), a1.dot(b1)]
-        np.testing.assert_allclose(np.abs(cross), 1.0 / SQRT2, atol=1e-5)
+        np.testing.assert_allclose(np.abs(cross), 1.0 / SQRT2, atol=1e-14)
         assert np.prod(np.sign(cross)) == -1.0
 
     def test_product_state_respects_classical_bound(self):
@@ -141,7 +142,7 @@ class TestChsh:
         assert optimum.s_max >= oracle - 1e-9
         assert abs(optimum.s_max - oracle) < 5e-3
         # frozen analytic value 2 sqrt(1 + sin^2(pi/4)) = sqrt(6)
-        assert abs(optimum.s_max - 2.449489742783178) < 1e-6
+        assert abs(optimum.s_max - 2.449489742783178) < 1e-14
 
     def test_quantum_records_never_exceed_tsirelson(self):
         rng = np.random.default_rng(61)
@@ -155,6 +156,37 @@ class TestChsh:
             )
             worst = max(worst, abs(chsh_value(CorrelationRecord(np.clip(c, -1, 1)))))
         assert worst <= 2.0 * SQRT2 + 1e-9
+
+
+def amplitudes_state(parts):
+    """Two-qubit state from four real then four imaginary amplitude parts, normalised."""
+    psi = np.asarray(parts[:4], dtype=float) + 1j * np.asarray(parts[4:], dtype=float)
+    return StateVector((2, 2), psi / np.linalg.norm(psi))
+
+
+_G = math.radians(22.5)
+AMPLITUDE_PARTS = st.lists(
+    st.floats(-1.0, 1.0, allow_subnormal=False), min_size=8, max_size=8
+).filter(lambda parts: math.hypot(*parts) > 1e-3)
+
+
+class TestChshProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(AMPLITUDE_PARTS)
+    @example([0.0, 1.0, -1.0, 0.0] + [0.0] * 4)  # singlet: s0 = s1 = s2 = 1
+    @example([1.0, 0.0, 0.0, 0.0] + [0.0] * 4)  # product: s1 = 0
+    @example([0.0, math.cos(_G), -math.sin(_G), 0.0] + [0.0] * 4)  # partial 22.5 deg: s1 = s2
+    def test_optimum_is_the_horodecki_value(self, parts):
+        state = amplitudes_state(parts)
+        optimum = chsh_optimize(state)
+        s = np.linalg.svd(ineq.correlation_matrix(state), compute_uv=False)
+        assert abs(optimum.s_max - 2.0 * math.hypot(s[0], s[1])) <= 1e-12
+        assert optimum.s_max <= 2.0 * SQRT2 + 1e-12
+        assert optimum.s_max >= chsh_planar_grid_value(state, 5.0) - 1e-12
+        for setting in optimum.settings_a + optimum.settings_b:
+            assert abs(np.linalg.norm(setting.direction) - 1.0) <= 1e-12
+        assert abs(optimum.settings_a[0].dot(optimum.settings_a[1])) <= 1e-12
+        assert tlm_check(optimum.record).satisfied
 
 
 class TestLeggettInequality:
