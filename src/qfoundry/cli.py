@@ -507,7 +507,7 @@ def _emit(table: ResultTable, args) -> None:
 def _run_verify(args) -> int:
     results, report = verify.run_all_checks(args.seed)
     for result in results:
-        print(result.line())
+        print(f"{result.line()} ({result.elapsed_ms:.0f} ms)")
     output = args.output or "qfoundry_verify.json"
     with open(output, "w", encoding="utf-8", newline="") as handle:
         handle.write(report)

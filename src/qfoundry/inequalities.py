@@ -441,15 +441,29 @@ class TlmResult:
     satisfied: bool
 
 
+def tlm_sides(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the TLM condition for correlator tables c[..., i, j].
+
+    lhs = |c00 c10 - c01 c11| and rhs = sum_j sqrt((1 - c0j^2)(1 - c1j^2)),
+    elementwise over the leading axes.  Raises ValueError unless every
+    correlator is finite and within [-1, 1] (up to 1e-12).
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 correlator tables, got shape {c.shape}")
+    if c.size and not np.max(np.abs(c)) <= 1.0 + 1e-12:
+        raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {np.max(np.abs(c))!r}")
+    lhs = np.abs(c[..., 0, 0] * c[..., 1, 0] - c[..., 0, 1] * c[..., 1, 1])
+    slack = np.maximum(0.0, 1.0 - c * c)
+    root = np.sqrt(slack[..., 0, :] * slack[..., 1, :])
+    return lhs, root[..., 0] + root[..., 1]
+
+
 def tlm_check(record: CorrelationRecord) -> TlmResult:
     """Quantum-realizability condition for a 2x2 correlator table.
 
     |c00 c10 - c01 c11| <= sum_j sqrt((1 - c0j^2)(1 - c1j^2)), necessary and
     sufficient for the four correlators to come from quantum measurements.
     """
-    c = record.c
-    lhs = abs(c[0, 0] * c[1, 0] - c[0, 1] * c[1, 1])
-    rhs = 0.0
-    for j in range(2):
-        rhs += math.sqrt(max(0.0, 1.0 - c[0, j] ** 2) * max(0.0, 1.0 - c[1, j] ** 2))
+    lhs, rhs = tlm_sides(record.c)
     return TlmResult(float(lhs), float(rhs), bool(lhs <= rhs + 1e-12))

@@ -15,7 +15,7 @@ from qfoundry import verify
 SEED = verify.DEFAULT_SEED
 
 # stated runtime budgets in seconds; criteria without one are unbounded
-RUNTIME_BUDGETS = {1: 1.0, 2: 1.0, 4: 30.0, 5: 10.0, 6: 5.0, 7: 1.0, 8: 5.0, 11: 10.0}
+RUNTIME_BUDGETS = {1: 1.0, 2: 1.0, 4: 5.0, 5: 10.0, 6: 5.0, 7: 1.0, 8: 5.0, 9: 2.0, 11: 10.0}
 
 
 @pytest.fixture(scope="session")

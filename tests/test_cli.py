@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ import textwrap
 import pytest
 
 from qfoundry import cli
-from qfoundry.report import format_number
+from qfoundry.report import format_number, render_json
 
 
 def run_cli(args, capsys):
@@ -162,6 +163,23 @@ class TestDeterminism:
         assert "-3.9442719099991" in out
 
 
+class TestVerifyCommand:
+    def test_stdout_times_each_check_and_the_report_keeps_its_bytes(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, stdout, _ = run_cli(["verify", "--seed", "17", "--output", str(out)], capsys)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert len(lines) == 13
+        for criterion, line in enumerate(lines[:12], start=1):
+            assert re.fullmatch(rf"criterion {criterion:02d} PASS .*\] \(\d+ ms\)", line), line
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert all(set(check) == {"criterion", "name", "passed", "expected", "measured"} for check in payload["checks"])
+        # without criterion 12, the report is the golden core report of this seed
+        core = dict(payload, checks=payload["checks"][:11])
+        golden = pathlib.Path(__file__).parent / "golden" / "verify_report_seed17.json"
+        assert (render_json(core) + "\n").encode("utf-8") == golden.read_bytes()
+
+
 class TestExitCodes:
     def test_validation_error_exits_2(self, capsys):
         code, _, err = run_cli(["popper", "--width", "-1.0"], capsys)
@@ -283,6 +301,15 @@ def test_console_entry_point_runs():
     assert "qfoundry" in result.stdout
 
 
+def run_fresh_interpreter(script):
+    """Run ``script`` in a new Python process that imports qfoundry from this checkout."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 def test_no_scenario_loads_scipy():
     # a fresh interpreter: other tests in this process may have loaded scipy
     script = textwrap.dedent(
@@ -304,8 +331,21 @@ def test_no_scenario_loads_scipy():
         print(json.dumps({"codes": codes, "scipy": scipy}))
         """
     )
-    src = str(pathlib.Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
+    result = run_fresh_interpreter(script)
     assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+def test_start_up_does_not_load_the_thread_pool():
+    # concurrent.futures pulls in logging (about 10 ms); only verify's check 4 needs it
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import qfoundry.cli as cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["kcbs"])
+        print(json.dumps({"code": code, "loaded": "concurrent.futures" in sys.modules}))
+        """
+    )
+    result = run_fresh_interpreter(script)
+    assert json.loads(result.stdout) == {"code": 0, "loaded": False}

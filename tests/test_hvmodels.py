@@ -251,9 +251,11 @@ def float_reference_sampler(params, n_samples, seed, shards):
 
 class TestChunkedSampler:
     CHUNK = hvmodels.SAMPLE_CHUNK
+    # chunk boundaries, and the same offsets around 2^20, a whole number of chunks
+    SIZES = sorted({1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7})
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("n_samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("n_samples", SIZES)
     def test_identical_to_float_reference(self, n_samples, shards):
         params = in_plane_params(0.2, 1.0)
         result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=11, shards=shards)
@@ -268,7 +270,9 @@ class TestChunkedSampler:
         assert (result.mean_a, result.mean_b, result.mean_ab) == means
 
     def test_memory_bounded_by_one_chunk(self):
-        # drawing 8 * 2^20 lambdas at once would take 64 MB for the draw alone
+        # drawing 8 * 2^20 lambdas at once would take 64 MB for the draw alone;
+        # one chunk and its mask take 0.56 MB, and the peak measured 0.56 MB
+        # warm and 1.2 MB as the first draw of a fresh process
         params = in_plane_params(0.2, 1.0)
         tracemalloc.start()
         try:
@@ -276,7 +280,62 @@ class TestChunkedSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024 * 1024
+        assert peak < 2 * 1024 * 1024
+
+    X = MeasurementSetting([1.0, 0.0, 0.0])
+    Y = MeasurementSetting([0.0, 1.0, 0.0])
+    Z = MeasurementSetting([0.0, 0.0, 1.0])
+    MINUS_X = MeasurementSetting([-1.0, 0.0, 0.0])
+    MINUS_Y = MeasurementSetting([0.0, -1.0, 0.0])
+
+    # (u, v, a, b) at the edges of the consistent region, with the exact
+    # thresholds (lambda_A, x1, x2) each one must produce
+    BOUNDARY_SETTINGS = {
+        "u.a=+1": ((Z, Y, Z, X), (1.0, 0.5, 1.0)),
+        "u.a=-1": ((MINUS_X, Y, X, Z), (0.0, 0.0, 0.5)),
+        "v.b=+1": ((Y, Z, X, Z), (0.5, 0.0, 1.0)),
+        "v.b=-1": ((Y, MINUS_Y, X, Y), (0.5, 0.5, 0.5)),
+        "x1=lambda_A": ((Z, Z, X, X), (0.5, 0.5, 1.0)),
+        "lambda_A=x2": ((Z, Z, X, MINUS_X), (0.5, 0.0, 0.5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_SETTINGS))
+    def test_boundary_settings_identical_to_float_reference(self, case):
+        settings, thresholds = self.BOUNDARY_SETTINGS[case]
+        params = LeggettModelParams(*settings)
+        assert leggett_is_consistent(params)
+        assert hvmodels.leggett_thresholds(params) == thresholds
+        n_samples = self.CHUNK + 1
+        result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=13)
+        means, stderrs = float_reference_sampler(params, n_samples, 13, 1)
+        assert (result.mean_a, result.mean_b, result.mean_ab) == means
+        assert (result.stderr_a, result.stderr_b, result.stderr_ab) == stderrs
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [(0.3, 0.4, 0.6), (0.7, 0.4, 0.6), (0.5, 0.6, 0.4), (0.2, 0.6, 0.4), (0.8, 0.6, 0.4)],
+    )
+    def test_counts_need_no_threshold_order(self, monkeypatch, thresholds):
+        # the count algebra must not assume x1 <= lambda_A <= x2; consistency
+        # allows 1e-12 of slack, and these orders exercise it grossly
+        monkeypatch.setattr(hvmodels, "leggett_thresholds", lambda params: thresholds)
+        params = in_plane_params(0.2, 1.0)
+        n_samples = self.CHUNK + 1
+        result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=17, shards=2)
+        means, _ = float_reference_sampler(params, n_samples, 17, 2)
+        assert (result.mean_a, result.mean_b, result.mean_ab) == means
+
+    @pytest.mark.parametrize("at", ["lambda_A", "x1", "x2"])
+    def test_a_threshold_on_a_drawn_lambda_is_inside_its_interval(self, monkeypatch, at):
+        # ties have measure zero, so put a threshold exactly on a value the stream draws
+        n_samples = self.CHUNK + 1
+        drawn = float(np.random.default_rng(19).random(n_samples)[self.CHUNK])
+        thresholds = {"lambda_A": (drawn, 0.2, 0.8), "x1": (0.5, drawn, 0.9), "x2": (0.5, 0.1, drawn)}[at]
+        monkeypatch.setattr(hvmodels, "leggett_thresholds", lambda params: thresholds)
+        params = in_plane_params(0.2, 1.0)
+        result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=19)
+        means, _ = float_reference_sampler(params, n_samples, 19, 1)
+        assert (result.mean_a, result.mean_b, result.mean_ab) == means
 
 
 class TestOutcomeRules:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfoundry import inequalities as ineq
-from qfoundry import qcore
+from qfoundry import qcore, verify
 from qfoundry.inequalities import (
     CorrelationRecord,
     HardyConfiguration,
@@ -29,6 +29,7 @@ from qfoundry.inequalities import (
     leggett_violation_scan,
     qm_same_polarization_probability,
     tlm_check,
+    tlm_sides,
 )
 from qfoundry.qcore import MeasurementSetting, StateVector
 
@@ -409,3 +410,75 @@ class TestTlm:
             result = tlm_check(CorrelationRecord(c))
             assert result.lhs <= result.rhs + 1e-12
             assert result.satisfied
+
+
+def tlm_loop_oracle(c):
+    """The former per-record TLM evaluation, one Python-level 2x2 table at a time.
+
+    Squares with ``c[0, j] ** 2`` (C ``pow``) where :func:`tlm_sides` uses the
+    correctly rounded ``c * c``; the two differ by one ulp on about 1 in
+    1000 uniform values, which moves rhs by at most a few ulps.
+    """
+    c = np.asarray(c, dtype=float)
+    lhs = np.empty(c.shape[:-2])
+    rhs = np.empty(c.shape[:-2])
+    for index in np.ndindex(c.shape[:-2]):
+        t = c[index]
+        lhs[index] = abs(t[0, 0] * t[1, 0] - t[0, 1] * t[1, 1])
+        total = 0.0
+        for j in range(2):
+            total += math.sqrt(max(0.0, 1.0 - t[0, j] ** 2) * max(0.0, 1.0 - t[1, j] ** 2))
+        rhs[index] = total
+    return lhs, rhs
+
+
+UNIT_VECTORS = st.lists(
+    st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=3
+).filter(lambda parts: math.hypot(*parts) > 1e-3)
+
+
+class TestTlmKernel:
+    def test_matches_per_record_oracle_on_uniform_tables(self):
+        c = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2000, 2, 2))
+        lhs, rhs = tlm_sides(c)
+        ref_lhs, ref_rhs = tlm_loop_oracle(c)
+        assert lhs.shape == rhs.shape == (2000,)
+        np.testing.assert_array_equal(lhs, ref_lhs)
+        np.testing.assert_allclose(rhs, ref_rhs, rtol=0.0, atol=1e-15)
+
+    def test_check_9_margin_matches_per_record_oracle(self):
+        # the verify batch for seed 2026: the reported worst margin is the same double
+        e = np.clip(verify._random_correlator_batch(2026 + 1, 10_000), -1.0, 1.0)
+        lhs, rhs = tlm_sides(e)
+        ref_lhs, ref_rhs = tlm_loop_oracle(e)
+        np.testing.assert_array_equal(lhs, ref_lhs)
+        np.testing.assert_allclose(rhs, ref_rhs, rtol=0.0, atol=1e-15)
+        assert np.max(lhs - rhs) == np.max(ref_lhs - ref_rhs)
+
+    def test_single_table_agrees_with_tlm_check(self):
+        r = 1.0 / SQRT2
+        c = np.array([[r, r], [r, -r]])
+        lhs, rhs = tlm_sides(c)
+        result = tlm_check(CorrelationRecord(c))
+        assert (result.lhs, result.rhs) == (float(lhs), float(rhs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 1e-9])
+    def test_out_of_range_entry_in_a_batch_raises(self, bad):
+        c = np.zeros((50, 2, 2))
+        c[37, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            tlm_sides(c)
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError, match="2x2"):
+            tlm_sides(np.zeros((4, 2, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(AMPLITUDE_PARTS, st.lists(UNIT_VECTORS, min_size=4, max_size=4))
+    def test_quantum_records_satisfy_tlm(self, parts, vectors):
+        # Masanes, arXiv:quant-ph/0309137: every quantum correlator table obeys TLM
+        state = amplitudes_state(parts)
+        a0, a1, b0, b1 = (MeasurementSetting.normalized(v) for v in vectors)
+        c = np.array([[ineq.setting_correlation(state, a, b) for b in (b0, b1)] for a in (a0, a1)])
+        lhs, rhs = tlm_sides(np.clip(c, -1.0, 1.0))
+        assert lhs <= rhs + 1e-12

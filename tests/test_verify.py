@@ -1,5 +1,7 @@
 """Verifier behavior: fault injection, report rendering, failure surfacing."""
 
+import os
+
 import numpy as np
 
 from qfoundry import inequalities, verify
@@ -65,3 +67,18 @@ def test_check_lines_are_one_per_criterion():
     line = result.line()
     assert line.startswith("criterion 01 PASS")
     assert "expected" in line
+
+
+def test_leggett_check_is_the_same_for_any_pool_size(monkeypatch):
+    measured = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(verify, "_pool_size", lambda tasks, workers=workers: workers)
+        measured[workers] = verify.check_leggett_model(7).measured
+    assert measured[1] == measured[2]
+
+
+def test_pool_size_is_one_thread_per_cpu_at_most_one_per_scenario(monkeypatch):
+    # only the size is computed; no thread is started
+    for cpus, expected in ((4096, 97), (2, 2), (1, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert verify._pool_size(97) == expected
