@@ -1,4 +1,4 @@
-"""Golden fixtures: the verify reports and README CLI examples, byte for byte.
+"""Golden fixtures: the verify reports and CLI scenario outputs, byte for byte.
 
 A change that moves any of these bytes rewrites the fixture in the same
 commit (``PYTHONPATH=src python tests/test_golden.py`` regenerates them all)
@@ -30,6 +30,15 @@ README_EXAMPLES = {
     "readme_leggett_samples.json": [
         "leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "1000000",
     ],
+}
+# fixture name -> argv of a scenario output the README examples do not cover
+SCENARIO_EXAMPLES = {
+    "scenario_lhv_table.json": ["lhv-table"],
+    "scenario_polarization_scan.json": ["polarization-qm", "--scan-theta", "0:90:15"],
+    "scenario_chsh_singlet.json": ["chsh"],
+    "scenario_hom.json": ["hom"],
+    "scenario_noon.json": ["noon"],
+    "scenario_tlm.json": ["tlm"],
 }
 
 
@@ -63,7 +72,7 @@ def readme_examples():
 
 
 FIXTURES = {f"verify_report_seed{seed}.json": functools.partial(verify_report, seed) for seed in REPORT_SEEDS}
-for name, argv in README_EXAMPLES.items():
+for name, argv in {**README_EXAMPLES, **SCENARIO_EXAMPLES}.items():
     FIXTURES[name] = functools.partial(cli_output, argv)
     if "csv" in argv:
         FIXTURES[name + ".meta.json"] = functools.partial(cli_output, argv, ".meta.json")
