@@ -11,6 +11,7 @@ settings).  The seed default comes from QFOUNDRY_SEED when set.
 from __future__ import annotations
 
 import argparse
+import collections
 import math
 import os
 import sys
@@ -81,56 +82,65 @@ def _parse_vector(spec: str, name: str) -> MeasurementSetting:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _meta(scenario: str, args, params: dict, provenance: dict) -> dict:
-    return {
-        "scenario": scenario,
+def _points(scan: str | None, flag: str, single: float) -> np.ndarray:
+    """Angles in degrees: the ``flag`` lo:hi:step scan when given, else just ``single``."""
+    return np.array([single]) if scan is None else _parse_scan(scan, flag)
+
+
+def _table(args, params: dict, provenance: dict, columns: list[str], rows, **extra) -> ResultTable:
+    meta = {
+        "scenario": args.command,
         "toolkit_version": __version__,
         "seed": int(args.seed),
         "params": params,
         "provenance": provenance,
+        **extra,
     }
+    table = ResultTable(meta, columns)
+    for row in rows:
+        table.add_row(*row)
+    return table
+
+
+def _quantities(args, params: dict, provenance: dict, values: dict, **extra) -> ResultTable:
+    return _table(args, params, provenance, ["quantity", "value"], values.items(), **extra)
 
 
 def _scenario_lhv_table(args) -> ResultTable:
     if args.weights is None:
         table = hvmodels.LocalHVTable.uniform()
-        weights_spec = "uniform"
     else:
         parts = args.weights.split(",")
         if len(parts) != 8:
             raise ValueError(f"--weights needs 8 comma-separated values, got {len(parts)}")
         table = hvmodels.LocalHVTable(np.array([float(p) for p in parts]))
-        weights_spec = args.weights
     minimum = hvmodels.lhv_minimum_same_probability()
-    meta = _meta(
-        "lhv-table",
+    rows = []
+    for i, row in enumerate(hvmodels.LOCAL_HV_ROWS):
+        rows.append((i + 1, *row, float(hvmodels.row_same_fraction(row)), float(table.weights[i])))
+    return _table(
         args,
-        {"weights": weights_spec},
+        {"weights": "uniform" if args.weights is None else args.weights},
         {
             "outcome_*": "hvmodels.LOCAL_HV_ROWS",
             "same_fraction": "hvmodels.row_same_fraction",
             "weight": "hvmodels.LocalHVTable",
         },
-    )
-    meta["p_same_weighted"] = hvmodels.lhv_same_probability(table)
-    meta["p_same_minimum"] = float(minimum)
-    meta["p_same_minimum_exact"] = f"{minimum.numerator}/{minimum.denominator}"
-    result = ResultTable(
-        meta,
         ["row", "outcome_0deg", "outcome_plus120deg", "outcome_minus120deg", "same_fraction", "weight"],
+        rows,
+        p_same_weighted=hvmodels.lhv_same_probability(table),
+        p_same_minimum=float(minimum),
+        p_same_minimum_exact=f"{minimum.numerator}/{minimum.denominator}",
     )
-    for i, row in enumerate(hvmodels.LOCAL_HV_ROWS):
-        result.add_row(i + 1, row[0], row[1], row[2], float(hvmodels.row_same_fraction(row)), float(table.weights[i]))
-    return result
 
 
 def _scenario_polarization(args) -> ResultTable:
-    if args.scan_theta is not None:
-        thetas = _parse_scan(args.scan_theta, "--scan-theta")
-    else:
-        thetas = np.array([args.theta_rel])
-    meta = _meta(
-        "polarization-qm",
+    rows = []
+    for theta_deg in _points(args.scan_theta, "--scan-theta", args.theta_rel):
+        theta = math.radians(float(theta_deg))
+        p_same, p_both = inequalities.qm_same_polarization_probability(theta)
+        rows.append((float(theta_deg), p_same, p_both, math.cos(theta) ** 2))
+    return _table(
         args,
         {"theta_rel_deg": None if args.scan_theta else args.theta_rel, "scan_theta": args.scan_theta},
         {
@@ -138,14 +148,10 @@ def _scenario_polarization(args) -> ResultTable:
             "p_both_pass": "inequalities.qm_same_polarization_probability",
             "cos2_theta": "analytic cross-check cos^2(theta)",
         },
+        ["theta_rel_deg", "p_same", "p_both_pass", "cos2_theta"],
+        rows,
+        lhv_bound=1.0 / 3.0,
     )
-    meta["lhv_bound"] = 1.0 / 3.0
-    result = ResultTable(meta, ["theta_rel_deg", "p_same", "p_both_pass", "cos2_theta"])
-    for theta_deg in thetas:
-        theta = math.radians(float(theta_deg))
-        p_same, p_both = inequalities.qm_same_polarization_probability(theta)
-        result.add_row(float(theta_deg), p_same, p_both, math.cos(theta) ** 2)
-    return result
 
 
 def _chsh_state(args) -> qcore.StateVector:
@@ -159,10 +165,15 @@ def _chsh_state(args) -> qcore.StateVector:
 
 
 def _scenario_chsh(args) -> ResultTable:
-    state = _chsh_state(args)
-    optimum = inequalities.chsh_optimize(state)
-    meta = _meta(
-        "chsh",
+    optimum = inequalities.chsh_optimize(_chsh_state(args))
+    values = {"s_max": optimum.s_max}
+    for label, pair in (("a", optimum.settings_a), ("b", optimum.settings_b)):
+        for k, setting in enumerate(pair):
+            for axis, component in zip("xyz", setting.direction):
+                values[f"{label}{k}_{axis}"] = float(component)
+    for (i, j), c in np.ndenumerate(optimum.record.c):
+        values[f"c_{i}{j}"] = float(c)
+    return _quantities(
         args,
         {"state": args.state, "gamma_deg": args.gamma if args.state == "partial" else None},
         {
@@ -170,18 +181,9 @@ def _scenario_chsh(args) -> ResultTable:
             "setting components": "inequalities.chsh_optimize",
             "correlator c_ij": "inequalities.setting_correlation",
         },
+        values,
+        tsirelson_bound=inequalities.TSIRELSON_BOUND,
     )
-    meta["tsirelson_bound"] = inequalities.TSIRELSON_BOUND
-    result = ResultTable(meta, ["quantity", "value"])
-    result.add_row("s_max", optimum.s_max)
-    for label, pair in (("a", optimum.settings_a), ("b", optimum.settings_b)):
-        for k, setting in enumerate(pair):
-            for axis, component in zip("xyz", setting.direction):
-                result.add_row(f"{label}{k}_{axis}", float(component))
-    for i in range(2):
-        for j in range(2):
-            result.add_row(f"c_{i}{j}", float(optimum.record.c[i, j]))
-    return result
 
 
 def _scenario_leggett(args) -> ResultTable:
@@ -195,17 +197,12 @@ def _scenario_leggett(args) -> ResultTable:
             _parse_vector(args.a, "--a"),
             _parse_vector(args.b, "--b"),
         )
-        meta = _meta(
-            "leggett",
-            args,
-            {"u": args.u, "v": args.v, "a": args.a, "b": args.b, "samples": args.samples},
-            {"mean_*": "hvmodels.leggett_expectations", "stderr_*": "hvmodels.leggett_expectations"},
-        )
-        result = ResultTable(meta, ["quantity", "value"])
         analytic = hvmodels.leggett_expectations(params, method="analytic")
-        result.add_row("mean_a_analytic", analytic.mean_a)
-        result.add_row("mean_b_analytic", analytic.mean_b)
-        result.add_row("mean_ab_analytic", analytic.mean_ab)
+        values = {
+            "mean_a_analytic": analytic.mean_a,
+            "mean_b_analytic": analytic.mean_b,
+            "mean_ab_analytic": analytic.mean_ab,
+        }
         if args.samples:
             sampled = hvmodels.leggett_expectations(
                 params,
@@ -214,18 +211,22 @@ def _scenario_leggett(args) -> ResultTable:
                 seed=args.seed,
                 shards=args.jobs,
             )
-            result.add_row("mean_a_mc", sampled.mean_a)
-            result.add_row("mean_b_mc", sampled.mean_b)
-            result.add_row("mean_ab_mc", sampled.mean_ab)
-            result.add_row("stderr_a", sampled.stderr_a)
-            result.add_row("stderr_b", sampled.stderr_b)
-            result.add_row("stderr_ab", sampled.stderr_ab)
-        return result
+            values["mean_a_mc"] = sampled.mean_a
+            values["mean_b_mc"] = sampled.mean_b
+            values["mean_ab_mc"] = sampled.mean_ab
+            values["stderr_a"] = sampled.stderr_a
+            values["stderr_b"] = sampled.stderr_b
+            values["stderr_ab"] = sampled.stderr_ab
+        return _quantities(
+            args,
+            {"u": args.u, "v": args.v, "a": args.a, "b": args.b, "samples": args.samples},
+            {"mean_*": "hvmodels.leggett_expectations", "stderr_*": "hvmodels.leggett_expectations"},
+            values,
+        )
 
     phis_deg = _parse_scan(args.scan_phi, "--scan-phi")
     scan = inequalities.leggett_violation_scan(np.deg2rad(phis_deg))
-    meta = _meta(
-        "leggett",
+    return _table(
         args,
         {"scan_phi_deg": args.scan_phi},
         {
@@ -233,23 +234,26 @@ def _scenario_leggett(args) -> ResultTable:
             "bound": "inequalities.leggett_bound",
             "violation": "inequalities.leggett_violation_scan",
         },
+        ["phi_deg", "s_qm", "bound", "violation"],
+        zip(phis_deg.tolist(), scan.s_qm.tolist(), scan.bound.tolist(), scan.violation.tolist()),
+        argmax_phi_deg=math.degrees(scan.argmax_phi),
+        max_violation=scan.max_violation,
+        stationarity_root_deg=math.degrees(inequalities.leggett_violation_argmax_oracle()),
     )
-    meta["argmax_phi_deg"] = math.degrees(scan.argmax_phi)
-    meta["max_violation"] = scan.max_violation
-    meta["stationarity_root_deg"] = math.degrees(inequalities.leggett_violation_argmax_oracle())
-    result = ResultTable(meta, ["phi_deg", "s_qm", "bound", "violation"])
-    for k in range(scan.phi.size):
-        result.add_row(
-            float(phis_deg[k]), float(scan.s_qm[k]), float(scan.bound[k]), float(scan.violation[k])
-        )
-    return result
 
 
 def _scenario_kcbs(args) -> ResultTable:
     config = inequalities.kcbs_build_pentagram()
-    value = inequalities.kcbs_value(config)
-    meta = _meta(
-        "kcbs",
+    values = {
+        "s_kcbs": inequalities.kcbs_value(config),
+        "classical_minimum": float(inequalities.kcbs_classical_minimum()),
+        "quantum_closed_form": inequalities.KCBS_QUANTUM_VALUE,
+        "max_adjacent_dot": config.max_adjacent_dot(),
+    }
+    for j in range(5):
+        for axis, component in zip("xyz", config.directions[j]):
+            values[f"l{j}_{axis}"] = float(component)
+    return _quantities(
         args,
         {},
         {
@@ -257,67 +261,57 @@ def _scenario_kcbs(args) -> ResultTable:
             "classical_minimum": "inequalities.kcbs_classical_minimum",
             "direction components": "inequalities.kcbs_build_pentagram",
         },
+        values,
     )
-    result = ResultTable(meta, ["quantity", "value"])
-    result.add_row("s_kcbs", value)
-    result.add_row("classical_minimum", float(inequalities.kcbs_classical_minimum()))
-    result.add_row("quantum_closed_form", inequalities.KCBS_QUANTUM_VALUE)
-    result.add_row("max_adjacent_dot", config.max_adjacent_dot())
-    for j in range(5):
-        for axis, component in zip("xyz", config.directions[j]):
-            result.add_row(f"l{j}_{axis}", float(component))
-    return result
 
 
 def _scenario_hardy(args) -> ResultTable:
-    if args.scan_gamma is not None:
-        gammas = _parse_scan(args.scan_gamma, "--scan-gamma")
-    else:
-        gammas = np.array([args.gamma])
-    meta = _meta(
-        "hardy",
+    rows = []
+    for gamma_deg in _points(args.scan_gamma, "--scan-gamma", args.gamma):
+        gamma = math.radians(float(gamma_deg))
+        probabilities = inequalities.hardy_probabilities(inequalities.HardyConfiguration(gamma))
+        rows.append((float(gamma_deg), *probabilities, inequalities.hardy_fourth_probability_closed_form(gamma)))
+    return _table(
         args,
         {"gamma_deg": None if args.scan_gamma else args.gamma, "scan_gamma": args.scan_gamma},
         {
             "p1..p4": "inequalities.hardy_probabilities",
             "p4_closed_form": "inequalities.hardy_fourth_probability_closed_form",
         },
+        ["gamma_deg", "p1", "p2", "p3", "p4", "p4_closed_form"],
+        rows,
     )
-    result = ResultTable(meta, ["gamma_deg", "p1", "p2", "p3", "p4", "p4_closed_form"])
-    for gamma_deg in gammas:
-        gamma = math.radians(float(gamma_deg))
-        config = inequalities.HardyConfiguration(gamma)
-        p1, p2, p3, p4 = inequalities.hardy_probabilities(config)
-        result.add_row(
-            float(gamma_deg), p1, p2, p3, p4, inequalities.hardy_fourth_probability_closed_form(gamma)
-        )
-    return result
 
 
 def _scenario_hom(args) -> ResultTable:
     output = fock.hong_ou_mandel_output(n_max=args.n_max)
-    meta = _meta(
-        "hom",
+    return _table(
         args,
         {"n_max": args.n_max},
         {
             "amplitude": "fock.apply_rotation on |1,1> through the 45-degree PBS",
             "probability": "|amplitude|^2",
         },
+        ["n_a", "n_b", "amplitude_real", "amplitude_imag", "probability"],
+        [(n_a, n_b, amplitude.real, amplitude.imag, abs(amplitude) ** 2) for n_a, n_b, amplitude in output.occupied()],
+        coincidence_probability=fock.coincidence_probability(output),
+        basis="rotated modes (A, D)",
     )
-    meta["coincidence_probability"] = fock.coincidence_probability(output)
-    meta["basis"] = "rotated modes (A, D)"
-    result = ResultTable(meta, ["n_a", "n_b", "amplitude_real", "amplitude_imag", "probability"])
-    for n_a, n_b, amplitude in output.occupied():
-        result.add_row(n_a, n_b, amplitude.real, amplitude.imag, abs(amplitude) ** 2)
-    return result
 
 
 def _scenario_noon(args) -> ResultTable:
-    n_max = max(args.n, fock.DEFAULT_N_MAX)
-    state = fock.noon_state(args.n, n_max)
-    meta = _meta(
-        "noon",
+    state = fock.noon_state(args.n, max(args.n, fock.DEFAULT_N_MAX))
+    rows = [(f"|{n_a},{n_b}>", amplitude.real, amplitude.imag) for n_a, n_b, amplitude in state.occupied()]
+    extra = {}
+    if args.n == 1:
+        atoms = fock.photon_atoms_entangle(fock.noon_state(1, 1))
+        for label, amplitude in zip(["|gg>", "|ge>", "|eg>", "|ee>"], atoms.amplitudes):
+            rows.append((label, float(amplitude.real), float(amplitude.imag)))
+        reduced = qcore.partial_trace(atoms.density(), 0)
+        eigenvalues = np.linalg.eigvalsh(reduced.matrix).real
+        extra["reduced_eigenvalues"] = [float(v) for v in eigenvalues]
+        extra["entanglement_entropy_bits"] = float(-sum(v * math.log2(v) for v in eigenvalues if v > 1e-15))
+    return _table(
         args,
         {"n": args.n},
         {
@@ -325,21 +319,10 @@ def _scenario_noon(args) -> ResultTable:
             "atom rows": "fock.photon_atoms_entangle",
             "entropy": "eigenvalues of qcore.partial_trace",
         },
+        ["basis_label", "amplitude_real", "amplitude_imag"],
+        rows,
+        **extra,
     )
-    result = ResultTable(meta, ["basis_label", "amplitude_real", "amplitude_imag"])
-    for n_a, n_b, amplitude in state.occupied():
-        result.add_row(f"|{n_a},{n_b}>", amplitude.real, amplitude.imag)
-    if args.n == 1:
-        atoms = fock.photon_atoms_entangle(fock.noon_state(1, 1))
-        labels = ["|gg>", "|ge>", "|eg>", "|ee>"]
-        for label, amplitude in zip(labels, atoms.amplitudes):
-            result.add_row(label, float(amplitude.real), float(amplitude.imag))
-        reduced = qcore.partial_trace(atoms.density(), 0)
-        eigenvalues = np.linalg.eigvalsh(reduced.matrix).real
-        entropy = float(-sum(v * math.log2(v) for v in eigenvalues if v > 1e-15))
-        meta["reduced_eigenvalues"] = [float(v) for v in eigenvalues]
-        meta["entanglement_entropy_bits"] = entropy
-    return result
 
 
 def _scenario_popper(args) -> ResultTable:
@@ -349,8 +332,7 @@ def _scenario_popper(args) -> ResultTable:
     conditional = popper.conditional_uncertainties(state, slit, grid)
     unconditioned = popper.unconditioned_uncertainties(state)
     x, _ = grid.resolve(state, slit)
-    meta = _meta(
-        "popper",
+    return _quantities(
         args,
         {
             "sigma_plus": args.sigma_plus,
@@ -365,49 +347,86 @@ def _scenario_popper(args) -> ResultTable:
             "conditional rows": "popper.conditional_uncertainties",
             "unconditioned rows": "popper.unconditioned_uncertainties",
         },
+        {
+            "dx2_given_x1": conditional.position_spread,
+            "dp2_given_x1": conditional.momentum_spread,
+            "product_conditional": conditional.product,
+            "product_conditional_over_bound": conditional.product / popper.UNCERTAINTY_BOUND,
+            "dx2_unconditioned": unconditioned.position_spread,
+            "dp2_unconditioned": unconditioned.momentum_spread,
+            "product_unconditioned": unconditioned.product,
+        },
+        uncertainty_bound=popper.UNCERTAINTY_BOUND,
     )
-    meta["uncertainty_bound"] = popper.UNCERTAINTY_BOUND
-    result = ResultTable(meta, ["quantity", "value"])
-    result.add_row("dx2_given_x1", conditional.position_spread)
-    result.add_row("dp2_given_x1", conditional.momentum_spread)
-    result.add_row("product_conditional", conditional.product)
-    result.add_row("product_conditional_over_bound", conditional.product / popper.UNCERTAINTY_BOUND)
-    result.add_row("dx2_unconditioned", unconditioned.position_spread)
-    result.add_row("dp2_unconditioned", unconditioned.momentum_spread)
-    result.add_row("product_unconditioned", unconditioned.product)
-    return result
 
 
 def _scenario_tlm(args) -> ResultTable:
-    c = np.array([[args.c00, args.c01], [args.c10, args.c11]])
-    record = inequalities.CorrelationRecord(c)
+    record = inequalities.CorrelationRecord(np.array([[args.c00, args.c01], [args.c10, args.c11]]))
     outcome = inequalities.tlm_check(record)
-    meta = _meta(
-        "tlm",
+    return _quantities(
         args,
         {"c00": args.c00, "c01": args.c01, "c10": args.c10, "c11": args.c11},
         {"lhs/rhs": "inequalities.tlm_check"},
+        {
+            "lhs": outcome.lhs,
+            "rhs": outcome.rhs,
+            "margin": outcome.rhs - outcome.lhs,
+            "satisfied": outcome.satisfied,
+            "chsh_value": inequalities.chsh_value(record),
+        },
     )
-    result = ResultTable(meta, ["quantity", "value"])
-    result.add_row("lhs", outcome.lhs)
-    result.add_row("rhs", outcome.rhs)
-    result.add_row("margin", outcome.rhs - outcome.lhs)
-    result.add_row("satisfied", outcome.satisfied)
-    result.add_row("chsh_value", inequalities.chsh_value(record))
-    return result
 
 
+# subcommand -> its help line, the function computing its table, and its own flags as (name, add_argument keywords)
+Scenario = collections.namedtuple("Scenario", "help run flags")
 SCENARIOS = {
-    "lhv-table": _scenario_lhv_table,
-    "polarization-qm": _scenario_polarization,
-    "chsh": _scenario_chsh,
-    "leggett": _scenario_leggett,
-    "kcbs": _scenario_kcbs,
-    "hardy": _scenario_hardy,
-    "hom": _scenario_hom,
-    "noon": _scenario_noon,
-    "popper": _scenario_popper,
-    "tlm": _scenario_tlm,
+    "lhv-table": Scenario("eight-row local hidden-variable table", _scenario_lhv_table, [
+        ("--weights", dict(help="8 comma-separated row weights (default: uniform)")),
+    ]),
+    "polarization-qm": Scenario("quantum same-outcome probability", _scenario_polarization, [
+        ("--theta-rel", dict(type=finite_float, default=120.0, help="relative polarizer angle in degrees")),
+        ("--scan-theta", dict(help="lo:hi:step scan in degrees")),
+    ]),
+    "chsh": Scenario("CHSH optimization over settings", _scenario_chsh, [
+        ("--state", dict(choices=("singlet", "product", "partial"), default="singlet")),
+        ("--gamma", dict(type=finite_float, default=22.5, help="partial-state angle in degrees")),
+    ]),
+    "leggett": Scenario("Leggett bound scan or model evaluation", _scenario_leggett, [
+        ("--scan-phi", dict(default="0:90:0.01", help="lo:hi:step phi scan in degrees")),
+        ("--u", dict(help="initial polarization of A, e.g. 0,0,1 (model mode)")),
+        ("--v", dict(help="initial polarization of B (model mode)")),
+        ("--a", dict(help="analyzer setting of A (model mode)")),
+        ("--b", dict(help="analyzer setting of B (model mode)")),
+        ("--samples", dict(type=int, default=0, help="Monte Carlo samples (model mode; 0 = analytic only)")),
+        ("--jobs", dict(type=positive_int, default=1, help="number of RNG substreams for Monte Carlo sampling "
+                        "(default 1); a different value gives different sampled values")),
+    ]),
+    "kcbs": Scenario("pentagram contextuality value", _scenario_kcbs, []),
+    "hardy": Scenario("four-probability non-separability test", _scenario_hardy, [
+        ("--gamma", dict(type=finite_float, default=22.5, help="state angle in degrees")),
+        ("--scan-gamma", dict(help="lo:hi:step scan in degrees")),
+    ]),
+    "hom": Scenario("two-photon interference at the 45-degree PBS", _scenario_hom, [
+        ("--n-max", dict(type=int, default=2, help=f"Fock truncation (at most {fock.MAX_N_MAX})")),
+    ]),
+    "noon": Scenario("N00N state and the path-marker atoms", _scenario_noon, [
+        ("--n", dict(type=int, default=1, help=f"photon number N (at most {fock.MAX_N_MAX})")),
+    ]),
+    "popper": Scenario("conditional uncertainty after a slit", _scenario_popper, [
+        ("--sigma-plus", dict(type=finite_float, default=1.0)),
+        ("--sigma-minus", dict(type=finite_float, default=0.5)),
+        ("--width", dict(type=finite_float, default=0.5)),
+        ("--center", dict(type=finite_float, default=0.0)),
+        ("--profile", dict(choices=("gaussian", "hard"), default="gaussian")),
+        ("--points", dict(type=int, default=0, help=f"grid points (0 = auto; at most {popper.MAX_GRID_POINTS})")),
+        ("--extent", dict(type=finite_float, default=None, help="half-width of the grid")),
+    ]),
+    "tlm": Scenario("quantum-realizability check for correlators", _scenario_tlm, [
+        ("--c00", dict(type=finite_float, default=1.0 / math.sqrt(2.0))),
+        ("--c01", dict(type=finite_float, default=1.0 / math.sqrt(2.0))),
+        ("--c10", dict(type=finite_float, default=1.0 / math.sqrt(2.0))),
+        ("--c11", dict(type=finite_float, default=-1.0 / math.sqrt(2.0))),
+    ]),
 }
 
 
@@ -421,87 +440,34 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="result file path (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--output", help="result file path (default: stdout; verify: qfoundry_verify.json)")
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: QFOUNDRY_SEED or 2026)")
-    common.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        help="number of RNG substreams for Monte Carlo sampling (default 1); "
-        "a different value gives different sampled values",
-    )
-
-    sub = subparsers.add_parser("lhv-table", parents=[common], help="eight-row local hidden-variable table")
-    sub.add_argument("--weights", help="8 comma-separated row weights (default: uniform)")
-
-    sub = subparsers.add_parser("polarization-qm", parents=[common], help="quantum same-outcome probability")
-    sub.add_argument("--theta-rel", type=finite_float, default=120.0, help="relative polarizer angle in degrees")
-    sub.add_argument("--scan-theta", help="lo:hi:step scan in degrees")
-
-    sub = subparsers.add_parser("chsh", parents=[common], help="CHSH optimization over settings")
-    sub.add_argument("--state", choices=("singlet", "product", "partial"), default="singlet")
-    sub.add_argument("--gamma", type=finite_float, default=22.5, help="partial-state angle in degrees")
-
-    sub = subparsers.add_parser("leggett", parents=[common], help="Leggett bound scan or model evaluation")
-    sub.add_argument("--scan-phi", default="0:90:0.01", help="lo:hi:step phi scan in degrees")
-    sub.add_argument("--u", help="initial polarization of A, e.g. 0,0,1 (model mode)")
-    sub.add_argument("--v", help="initial polarization of B (model mode)")
-    sub.add_argument("--a", help="analyzer setting of A (model mode)")
-    sub.add_argument("--b", help="analyzer setting of B (model mode)")
-    sub.add_argument("--samples", type=int, default=0, help="Monte Carlo samples (model mode; 0 = analytic only)")
-
-    subparsers.add_parser("kcbs", parents=[common], help="pentagram contextuality value")
-
-    sub = subparsers.add_parser("hardy", parents=[common], help="four-probability non-separability test")
-    sub.add_argument("--gamma", type=finite_float, default=22.5, help="state angle in degrees")
-    sub.add_argument("--scan-gamma", help="lo:hi:step scan in degrees")
-
-    sub = subparsers.add_parser("hom", parents=[common], help="two-photon interference at the 45-degree PBS")
-    sub.add_argument("--n-max", type=int, default=2, help="Fock truncation")
-
-    sub = subparsers.add_parser("noon", parents=[common], help="N00N state and the path-marker atoms")
-    sub.add_argument("--n", type=int, default=1, help="photon number N")
-
-    sub = subparsers.add_parser("popper", parents=[common], help="conditional uncertainty after a slit")
-    sub.add_argument("--sigma-plus", type=finite_float, default=1.0)
-    sub.add_argument("--sigma-minus", type=finite_float, default=0.5)
-    sub.add_argument("--width", type=finite_float, default=0.5)
-    sub.add_argument("--center", type=finite_float, default=0.0)
-    sub.add_argument("--profile", choices=("gaussian", "hard"), default="gaussian")
-    sub.add_argument("--points", type=int, default=0, help=f"grid points (0 = auto; at most {popper.MAX_GRID_POINTS})")
-    sub.add_argument("--extent", type=finite_float, default=None, help="half-width of the grid")
-
-    sub = subparsers.add_parser("tlm", parents=[common], help="quantum-realizability check for correlators")
-    r = 1.0 / math.sqrt(2.0)
-    sub.add_argument("--c00", type=finite_float, default=r)
-    sub.add_argument("--c01", type=finite_float, default=r)
-    sub.add_argument("--c10", type=finite_float, default=r)
-    sub.add_argument("--c11", type=finite_float, default=-r)
-
-    sub = subparsers.add_parser("verify", parents=[common], help="run every acceptance check")
+    for name, scenario in SCENARIOS.items():
+        sub = subparsers.add_parser(name, parents=[common], help=scenario.help)
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag, options in scenario.flags:
+            sub.add_argument(flag, **options)
+    subparsers.add_parser("verify", parents=[common], help="run every acceptance check")
     return parser
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def _emit(table: ResultTable, args) -> None:
     if args.format == "json":
-        text = render_table_json(table)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    text = render_table_csv(table)
-    sidecar = render_table_csv_sidecar(table)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        with open(args.output + ".meta.json", "w", encoding="utf-8", newline="") as handle:
-            handle.write(sidecar)
+        text, sidecar = render_table_json(table), ""
     else:
+        text, sidecar = render_table_csv(table), render_table_csv_sidecar(table)
+    if not args.output:
         sys.stdout.write(text)
         sys.stderr.write(sidecar)
+        return
+    _write(args.output, text)
+    if sidecar:
+        _write(args.output + ".meta.json", sidecar)
 
 
 def _run_verify(args) -> int:
@@ -509,8 +475,7 @@ def _run_verify(args) -> int:
     for result in results:
         print(f"{result.line()} ({result.elapsed_ms:.0f} ms)")
     output = args.output or "qfoundry_verify.json"
-    with open(output, "w", encoding="utf-8", newline="") as handle:
-        handle.write(report)
+    _write(output, report)
     all_passed = all(r.passed for r in results)
     print(f"{'all checks passed' if all_passed else 'CHECK FAILURES PRESENT'}; report: {output}")
     return EXIT_OK if all_passed else 1
@@ -524,8 +489,7 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.command == "verify":
             return _run_verify(args)
-        table = SCENARIOS[args.command](args)
-        _emit(table, args)
+        _emit(SCENARIOS[args.command].run(args), args)
         return EXIT_OK
     except ModelInconsistentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,8 @@ import numpy as np
 from .qcore import StateVector
 
 DEFAULT_N_MAX = 6
+# a (MAX_N_MAX + 1)^2 complex amplitude table is 16.8 MB
+MAX_N_MAX = 1024
 AMPLITUDE_ATOL = 1e-12
 
 
@@ -88,8 +90,15 @@ class FockState:
                     yield n_a, n_b, complex(value)
 
 
+def _zeros(n_max: int) -> np.ndarray:
+    """An all-zero amplitude table; truncations above MAX_N_MAX are refused before allocating."""
+    if n_max > MAX_N_MAX:
+        raise ValueError(f"truncation n_max = {n_max} exceeds MAX_N_MAX = {MAX_N_MAX}")
+    return np.zeros((n_max + 1, n_max + 1), dtype=complex)
+
+
 def vacuum(n_max: int = DEFAULT_N_MAX) -> FockState:
-    amp = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    amp = _zeros(n_max)
     amp[0, 0] = 1.0
     return FockState(n_max, amp)
 
@@ -98,7 +107,7 @@ def fock_basis(n_max: int, n_a: int, n_b: int) -> FockState:
     """Number state |n_a, n_b>."""
     if n_a < 0 or n_b < 0 or n_a + n_b > n_max:
         raise ValueError(f"occupation ({n_a}, {n_b}) invalid for n_max = {n_max}")
-    amp = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    amp = _zeros(n_max)
     amp[n_a, n_b] = 1.0
     return FockState(n_max, amp)
 
@@ -110,7 +119,7 @@ def noon_state(n: int, n_max: int | None = None) -> FockState:
     n_max = n if n_max is None else int(n_max)
     if n > n_max:
         raise ValueError(f"n = {n} exceeds truncation n_max = {n_max}")
-    amp = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    amp = _zeros(n_max)
     amp[n, 0] = amp[0, n] = 1.0 / math.sqrt(2.0)
     return FockState(n_max, amp)
 
@@ -173,7 +182,7 @@ def apply_rotation(state: FockState, rot: ModeRotation) -> FockState:
     m00, m01 = rot.matrix[0]
     m10, m11 = rot.matrix[1]
     n_max = state.n_max
-    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    out = _zeros(n_max)
     for m, n, value in state.occupied(atol=0.0):
         if m + n > n_max:  # unreachable for validated inputs, guards the rewrite
             raise TruncationOverflowError("rotation input exceeds the truncation")

@@ -104,7 +104,7 @@ class LocalHVTable:
         if not np.isfinite(w).all():
             raise ValueError(f"non-finite weights {w.tolist()!r}")
         if w.min() < -1e-12:
-            raise ValueError(f"weights must be nonnegative, got min {w.min()!r}")
+            raise ValueError(f"weights must be nonnegative, got min {float(w.min())!r}")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")

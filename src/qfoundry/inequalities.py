@@ -53,7 +53,7 @@ class CorrelationRecord:
         if c.shape != (2, 2):
             raise ValueError(f"expected a 2x2 correlator table, got shape {c.shape}")
         if not np.max(np.abs(c)) <= 1.0 + 1e-12:
-            raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {np.max(np.abs(c))!r}")
+            raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {float(np.max(np.abs(c)))!r}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         for name in ("marginals_a", "marginals_b"):
@@ -452,7 +452,7 @@ def tlm_sides(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if c.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 correlator tables, got shape {c.shape}")
     if c.size and not np.max(np.abs(c)) <= 1.0 + 1e-12:
-        raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {np.max(np.abs(c))!r}")
+        raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {float(np.max(np.abs(c)))!r}")
     lhs = np.abs(c[..., 0, 0] * c[..., 1, 0] - c[..., 0, 1] * c[..., 1, 1])
     slack = np.maximum(0.0, 1.0 - c * c)
     root = np.sqrt(slack[..., 0, :] * slack[..., 1, :])

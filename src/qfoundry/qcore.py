@@ -102,7 +102,7 @@ class DensityMatrix:
         eigenvalues = np.linalg.eigvalsh(m)
         if eigenvalues.min() < -PSD_ATOL:
             raise ValueError(
-                f"density matrix has negative eigenvalue {eigenvalues.min()!r}"
+                f"density matrix has negative eigenvalue {float(eigenvalues.min())!r}"
             )
 
 

@@ -81,13 +81,9 @@ def render_table_json(table: ResultTable) -> str:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_number(value)
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return _render_scalar(value)
 
 
 def render_table_csv(table: ResultTable) -> str:

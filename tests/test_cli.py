@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from qfoundry import cli
+from qfoundry import cli, fock, hvmodels, inequalities, popper, qcore
 from qfoundry.report import format_number, render_json
 
 
@@ -210,6 +210,27 @@ class TestExitCodes:
         assert "--u" in err or "model mode" in err
 
 
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "argv, value",
+        [(["tlm", "--c01", "-1.5"], "1.5"), (["lhv-table", "--weights=-0.5,1.5,0,0,0,0,0,0"], "-0.5")],
+        ids=["tlm", "lhv-table"],
+    )
+    def test_offending_value_is_a_plain_number(self, argv, value, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert value in err
+        assert "np." not in err
+
+    @pytest.mark.parametrize("argv", [["noon", "--n", "1025"], ["hom", "--n-max", "1025"]], ids=["noon", "hom"])
+    def test_fock_truncation_above_the_cap_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"MAX_N_MAX = {fock.MAX_N_MAX}" in err
+
+
 class TestScanSpec:
     def test_scan_never_passes_upper_bound(self, capsys):
         code, out, _ = run_cli(["polarization-qm", "--scan-theta", "0:1:0.4"], capsys)
@@ -233,6 +254,19 @@ class TestScanSpec:
         code, _, err = run_cli(["hardy", "--scan-gamma", "0:inf:1"], capsys)
         assert code == 2
         assert "finite" in err
+
+    def test_values_starting_with_a_dash_need_the_equals_form(self, capsys):
+        code, out, _ = run_cli(["polarization-qm", "--scan-theta=-90:90:30"], capsys)
+        assert code == 0
+        assert [row[0] for row in json.loads(out)["rows"]] == [-90.0, -60.0, -30.0, 0.0, 30.0, 60.0, 90.0]
+        model = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--b", "0,1,0"]
+        code, out, _ = run_cli(model + ["--a=-1,0,0"], capsys)
+        assert code == 0
+        assert table_value(json.loads(out), "mean_a_analytic") == 0.0
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(model + ["--a", "-1,0,0"])
+        assert excinfo.value.code == 2
+        assert "argument --a: expected one argument" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:
@@ -273,6 +307,31 @@ class TestNonFiniteInput:
             format_number(value)
 
 
+class TestFlags:
+    COMMON = ("--output", "--seed", "--format", "--jobs")
+
+    def flags(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--help"])
+        assert excinfo.value.code == 0
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+
+    @pytest.mark.parametrize("command", list(cli.SCENARIOS))
+    def test_jobs_is_a_leggett_flag(self, command, capsys):
+        expected = {"--output", "--seed", "--format"} | ({"--jobs"} if command == "leggett" else set())
+        assert self.flags(command, capsys) & set(self.COMMON) == expected
+
+    def test_verify_takes_only_seed_and_output(self, capsys):
+        assert self.flags("verify", capsys) == {"--help", "--output", "--seed"}
+
+    @pytest.mark.parametrize("argv", [["kcbs", "--jobs", "2"], ["verify", "--format", "csv"]], ids=["kcbs", "verify"])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 class TestJobs:
     MODEL = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "1000"]
 
@@ -291,23 +350,35 @@ class TestJobs:
         assert table_value(json.loads(one), "mean_a_mc") != table_value(json.loads(three), "mean_a_mc")
 
 
-def test_console_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "qfoundry.cli", "--version"],
-        capture_output=True,
-        text=True,
+class TestProvenance:
+    """Every ``module.name`` a provenance entry cites exists in that module."""
+
+    MODULES = {"qcore": qcore, "hvmodels": hvmodels, "inequalities": inequalities, "fock": fock, "popper": popper}
+
+    @pytest.mark.parametrize(
+        "argv", [*([name] for name in cli.SCENARIOS), TestJobs.MODEL], ids=[*cli.SCENARIOS, "leggett-model"]
     )
-    assert result.returncode == 0
-    assert "qfoundry" in result.stdout
+    def test_provenance_names_existing_code(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        provenance = json.loads(out)["meta"]["provenance"]
+        cited = re.findall(rf"\b({'|'.join(self.MODULES)})\.(\w+)", " ".join(provenance.values()))
+        assert cited, provenance
+        for module, name in cited:
+            assert hasattr(self.MODULES[module], name), f"{module}.{name}"
 
 
-def run_fresh_interpreter(script):
-    """Run ``script`` in a new Python process that imports qfoundry from this checkout."""
+def run_fresh_interpreter(*args):
+    """Run ``python args`` in a new process that imports qfoundry from this checkout."""
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     return result
+
+
+def test_console_entry_point_runs():
+    assert "qfoundry" in run_fresh_interpreter("-m", "qfoundry.cli", "--version").stdout
 
 
 def test_no_scenario_loads_scipy():
@@ -331,7 +402,7 @@ def test_no_scenario_loads_scipy():
         print(json.dumps({"codes": codes, "scipy": scipy}))
         """
     )
-    result = run_fresh_interpreter(script)
+    result = run_fresh_interpreter("-c", script)
     assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
@@ -347,5 +418,5 @@ def test_start_up_does_not_load_the_thread_pool():
         print(json.dumps({"code": code, "loaded": "concurrent.futures" in sys.modules}))
         """
     )
-    result = run_fresh_interpreter(script)
+    result = run_fresh_interpreter("-c", script)
     assert json.loads(result.stdout) == {"code": 0, "loaded": False}

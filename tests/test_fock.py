@@ -7,6 +7,7 @@ import pytest
 
 from qfoundry import qcore
 from qfoundry.fock import (
+    MAX_N_MAX,
     FockState,
     ModeRotation,
     TruncationOverflowError,
@@ -193,3 +194,14 @@ def test_noon_state_validation():
     state = noon_state(5, n_max=6)
     assert abs(state.amplitude(5, 0) - 1.0 / SQRT2) < 1e-15
     assert abs(state.amplitude(0, 5) - 1.0 / SQRT2) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "make",
+    [vacuum, lambda n_max: fock_basis(n_max, 1, 1), lambda n_max: noon_state(n_max, n_max)],
+    ids=["vacuum", "fock_basis", "noon_state"],
+)
+def test_truncation_cap(make):
+    assert make(MAX_N_MAX).n_max == MAX_N_MAX
+    with pytest.raises(ValueError, match=f"exceeds MAX_N_MAX = {MAX_N_MAX}"):
+        make(MAX_N_MAX + 1)
