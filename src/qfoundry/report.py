@@ -74,7 +74,7 @@ class ResultTable:
 
 
 def render_table_json(table: ResultTable) -> str:
-    payload = {"meta": table.meta, "columns": list(table.columns), "rows": [list(r) for r in table.rows]}
+    payload = {"meta": table.meta, "columns": table.columns, "rows": table.rows}
     return render_json(payload) + "\n"
 
 
