@@ -284,6 +284,8 @@ def _scenario_hardy(args) -> ResultTable:
 
 
 def _scenario_hom(args) -> ResultTable:
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be at least 2 to hold the two photons of |1,1>, got {args.n_max}")
     output = fock.hong_ou_mandel_output(n_max=args.n_max)
     return _table(
         args,
@@ -398,8 +400,9 @@ SCENARIOS = {
         ("--a", dict(help="analyzer setting of A (model mode)")),
         ("--b", dict(help="analyzer setting of B (model mode)")),
         ("--samples", dict(type=int, default=0, help="Monte Carlo samples (model mode; 0 = analytic only)")),
-        ("--jobs", dict(type=positive_int, default=1, help="number of RNG substreams for Monte Carlo sampling "
-                        "(default 1); a different value gives different sampled values")),
+        ("--jobs", dict(type=positive_int, default=1, help="number of RNG substreams for Monte Carlo sampling, "
+                        "run on up to min(N, usable CPUs) threads (default 1); the sampled values depend on N, "
+                        "not on the CPU count")),
     ]),
     "kcbs": Scenario("pentagram contextuality value", _scenario_kcbs, []),
     "hardy": Scenario("four-probability non-separability test", _scenario_hardy, [
@@ -407,10 +410,10 @@ SCENARIOS = {
         ("--scan-gamma", dict(help="lo:hi:step scan in degrees")),
     ]),
     "hom": Scenario("two-photon interference at the 45-degree PBS", _scenario_hom, [
-        ("--n-max", dict(type=int, default=2, help=f"Fock truncation (at most {fock.MAX_N_MAX})")),
+        ("--n-max", dict(type=int, default=2, help=f"Fock truncation (at least 2, at most {fock.MAX_N_MAX})")),
     ]),
     "noon": Scenario("N00N state and the path-marker atoms", _scenario_noon, [
-        ("--n", dict(type=int, default=1, help=f"photon number N (at most {fock.MAX_N_MAX})")),
+        ("--n", dict(type=positive_int, default=1, help=f"photon number N (at most {fock.MAX_N_MAX})")),
     ]),
     "popper": Scenario("conditional uncertainty after a slit", _scenario_popper, [
         ("--sigma-plus", dict(type=finite_float, default=1.0)),

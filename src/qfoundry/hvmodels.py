@@ -29,16 +29,20 @@ case, i.e. toward +1; the tie set has measure zero under the uniform density.
 
 The Monte Carlo path of :func:`leggett_expectations` draws lambda in fixed
 chunks of ``SAMPLE_CHUNK`` = 2^16 values (512 KB, sized to stay in the L2
-cache) into one reused buffer.  Three comparisons into one reused boolean
-mask count lambda <= lambda_A, lambda < x1 and lambda <= x2; the +1 counts
-of A, B and AB follow from these by exact interval algebra.  Memory stays
-under 1 MB for any sample count.  Chunked draws continue the same random
-stream and the counts are exact, so the results do not depend on the chunk
-size.
+cache) into one reused buffer per shard.  Three comparisons into one reused
+boolean mask count lambda <= lambda_A, lambda < x1 and lambda <= x2; the +1
+counts of A, B and AB follow from these by exact interval algebra.  Memory
+stays under 1 MB per running shard for any sample count.  Chunked draws
+continue the same random stream and the counts are exact, so the results do
+not depend on the chunk size.  Shards draw on separate threads
+(:func:`parallel_map`) and their integer counts are summed, so the results
+do not depend on the thread count either.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -227,6 +231,68 @@ def _binary_stderr(mean: float, n: int) -> float:
     return float(np.sqrt(max(0.0, 1.0 - mean * mean) / n))
 
 
+def pool_size(tasks: int) -> int:
+    """Threads for ``tasks`` independent jobs: one per usable CPU, at most one per job."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(tasks, cpus))
+
+
+def parallel_map(fn: Callable, *iterables: Iterable) -> list:
+    """``[fn(*args) for args in zip(*iterables)]`` on ``pool_size(n)`` threads.
+
+    The calling thread is one worker, so a single job starts no thread.
+    Workers take the next job index under a lock; results keep the input
+    order.  After a job raises, no worker starts a new one, and once every
+    thread has joined the exception of the lowest failed index is re-raised,
+    as a serial loop would.  Threads pay off for jobs that spend their time
+    in numpy calls that release the GIL.
+    """
+    jobs = list(zip(*iterables))
+    results = [None] * len(jobs)
+    failures: list[tuple[int, BaseException]] = []
+    indices = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = None if failures else next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(*jobs[index])
+            except BaseException as exc:
+                with lock:
+                    failures.append((index, exc))
+
+    threads = [threading.Thread(target=work) for _ in range(pool_size(len(jobs)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _shard_counts(
+    rng: np.random.Generator, count: int, lambda_a: float, x1: float, x2: float
+) -> tuple[int, int, int]:
+    """Counts of lambda <= lambda_A, lambda < x1 and lambda <= x2 over ``count`` draws."""
+    plus_a = below_x1 = upto_x2 = 0
+    buffer = np.empty(min(SAMPLE_CHUNK, count))
+    mask = np.empty(buffer.size, dtype=bool)
+    for start in range(0, count, SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, count - start)
+        lam, hits = buffer[:size], mask[:size]
+        rng.random(out=lam)
+        plus_a += int(np.count_nonzero(np.less_equal(lam, lambda_a, out=hits)))
+        below_x1 += int(np.count_nonzero(np.less(lam, x1, out=hits)))
+        upto_x2 += int(np.count_nonzero(np.less_equal(lam, x2, out=hits)))
+    return plus_a, below_x1, upto_x2
+
+
 def leggett_expectations(
     params: LeggettModelParams,
     method: str = "analytic",
@@ -240,7 +306,10 @@ def leggett_expectations(
     exactly; the results equal u.a, v.b and -a.b.  ``method="monte-carlo"``
     draws ``n_samples`` uniform lambdas (optionally split into ``shards``
     substreams spawned from ``seed``) and reports sample means with
-    standard errors; it is deterministic for a fixed seed and shard count.
+    standard errors.  The substreams run on up to min(shards, usable CPUs)
+    threads (:func:`parallel_map`); each returns three integer counts and
+    the counts are summed, so the result depends on the seed and shard
+    count but never on the CPU count.
     """
     _require_consistent(params)
     lambda_a, x1, x2 = leggett_thresholds(params)
@@ -269,17 +338,8 @@ def leggett_expectations(
         counts = [base + (1 if i < extra else 0) for i in range(shards)]
 
     # counts of lambda <= lambda_A (that is, A = +1), lambda < x1 and lambda <= x2
-    plus_a = below_x1 = upto_x2 = 0
-    for rng, count in zip(generators, counts):
-        buffer = np.empty(min(SAMPLE_CHUNK, count))
-        mask = np.empty(buffer.size, dtype=bool)
-        for start in range(0, count, SAMPLE_CHUNK):
-            size = min(SAMPLE_CHUNK, count - start)
-            lam, hits = buffer[:size], mask[:size]
-            rng.random(out=lam)
-            plus_a += int(np.count_nonzero(np.less_equal(lam, lambda_a, out=hits)))
-            below_x1 += int(np.count_nonzero(np.less(lam, x1, out=hits)))
-            upto_x2 += int(np.count_nonzero(np.less_equal(lam, x2, out=hits)))
+    shard_counts = parallel_map(lambda rng, count: _shard_counts(rng, count, lambda_a, x1, x2), generators, counts)
+    plus_a, below_x1, upto_x2 = (sum(column) for column in zip(*shard_counts))
 
     # The three events are half-lines of the same lambda, so any two are
     # nested and the count of their intersection is the smaller count.  That

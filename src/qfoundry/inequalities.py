@@ -27,7 +27,6 @@ from . import qcore
 from .qcore import MeasurementSetting, Observable, StateVector
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-KCBS_CLASSICAL_BOUND = -3.0
 KCBS_QUANTUM_VALUE = 5.0 - 4.0 * math.sqrt(5.0)
 
 

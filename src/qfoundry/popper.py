@@ -54,6 +54,11 @@ class UnderResolvedGridError(ValueError):
     """The discretization cannot faithfully represent the requested scales."""
 
 
+def _square_finite(scale) -> bool:
+    """Whether ``scale`` > 0 and ``scale**2`` is finite (a Python float power raises past that)."""
+    return 0.0 < scale < math.inf and float(scale) * float(scale) < math.inf
+
+
 @dataclass(frozen=True)
 class GaussianPairState:
     """Spreads of the center-of-mass (+) and relative (-) coordinates."""
@@ -62,8 +67,11 @@ class GaussianPairState:
     sigma_minus: float
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_plus < math.inf and 0.0 < self.sigma_minus < math.inf):
-            raise ValueError(f"spreads must be positive and finite, got {self.sigma_plus!r}, {self.sigma_minus!r}")
+        if not all(_square_finite(s) and _square_finite(1.0 / s) for s in (self.sigma_plus, self.sigma_minus)):
+            raise ValueError(
+                "spreads must be positive with finite squares and reciprocal squares, "
+                f"got {self.sigma_plus!r}, {self.sigma_minus!r}"
+            )
         object.__setattr__(self, "sigma_plus", float(self.sigma_plus))
         object.__setattr__(self, "sigma_minus", float(self.sigma_minus))
 
@@ -91,8 +99,12 @@ class SlitCondition:
     profile: str = "gaussian"
 
     def __post_init__(self):
-        if not (0.0 < self.width < math.inf and math.isfinite(self.center)):
-            raise ValueError(f"slit needs finite width > 0 and finite center, got {self.width!r}, {self.center!r}")
+        # a width too small to square is left to the grid checks, which refuse it
+        if not (_square_finite(self.width) and math.isfinite(self.center)):
+            raise ValueError(
+                "slit needs a width > 0 with a finite square and a finite center, "
+                f"got {self.width!r}, {self.center!r}"
+            )
         if self.profile not in ("gaussian", "hard"):
             raise ValueError(f"unknown slit profile {self.profile!r}")
         object.__setattr__(self, "width", float(self.width))

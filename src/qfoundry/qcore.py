@@ -28,7 +28,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def _as_complex_vector(values) -> np.ndarray:

@@ -6,10 +6,10 @@ executes the core checks plus a determinism check that re-runs the whole
 battery and byte-compares the rendered reports.  All randomness derives
 from the single seed argument, so reports are reproducible byte for byte.
 
-Check 4 runs its 97 independent Leggett scenarios on a thread pool of one
-thread per usable CPU.  Each scenario has its own seed and the results are
-reduced in scenario order, so the report bytes are the same for any CPU
-count.  ``run_core_checks`` records each check's wall time in
+Check 4 runs its 97 independent Leggett scenarios on one thread per usable
+CPU (:func:`hvmodels.parallel_map`).  Each scenario has its own seed and the
+results are reduced in scenario order, so the report bytes are the same for
+any CPU count.  ``run_core_checks`` records each check's wall time in
 ``CheckResult.elapsed_ms``; the CLI prints it, and the report leaves it out.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,24 +179,16 @@ def _leggett_scenario(params: LeggettModelParams, seed: int) -> tuple[float, flo
     return analytic_error, worst_sigma
 
 
-def _pool_size(tasks: int) -> int:
-    """Threads for ``tasks`` independent jobs: one per usable CPU, at most one per job."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(tasks, cpus))
-
-
 def check_leggett_model(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 4: analytic means match the dot products; sampler agrees.
 
-    Scenario i is seeded ``seed * 1000 + i``; the scenarios run on a thread
-    pool, since numpy's draws and comparisons release the GIL.
+    Scenario i is seeded ``seed * 1000 + i``; the scenarios run on
+    :func:`hvmodels.parallel_map` threads, since numpy's draws and
+    comparisons release the GIL.
     """
-    from concurrent.futures import ThreadPoolExecutor  # pulls in logging; only this check needs it
-
     scenarios = leggett_grid_scenarios(97)
     seeds = [seed * 1000 + i for i in range(len(scenarios))]
-    with ThreadPoolExecutor(max_workers=_pool_size(len(scenarios))) as pool:
-        errors, sigmas = zip(*pool.map(_leggett_scenario, scenarios, seeds))
+    errors, sigmas = zip(*hvmodels.parallel_map(_leggett_scenario, scenarios, seeds))
     analytic_error, worst_sigma = max(errors), max(sigmas)
     passed = analytic_error < 1e-12 and worst_sigma < 5.0
     return CheckResult(

@@ -231,6 +231,40 @@ class TestErrorMessages:
         assert f"MAX_N_MAX = {fock.MAX_N_MAX}" in err
 
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["hom", "--n-max", "1"], "--n-max"), (["hom", "--n-max=-1"], "--n-max"), (["noon", "--n", "0"], "--n:")],
+        ids=["hom", "hom-negative", "noon"],
+    )
+    def test_fock_values_below_the_minimum_name_their_flag(self, argv, flag, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the value of a typed flag
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+        assert "n_max =" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["popper", "--width=1e300"],
+            ["popper", "--width=1e300", "--profile", "hard"],
+            ["popper", "--sigma-plus=1e300"],
+            ["popper", "--sigma-minus=1e-200", "--points", "1024", "--extent=1e-300"],
+        ],
+        ids=["width", "hard-width", "sigma-plus", "tiny-sigma-minus"],
+    )
+    def test_popper_scale_whose_square_overflows_exits_2(self, argv, capsys):
+        # these ended in OverflowError or ZeroDivisionError tracebacks and exit 1
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "square" in err
+
+
 class TestScanSpec:
     def test_scan_never_passes_upper_bound(self, capsys):
         code, out, _ = run_cli(["polarization-qm", "--scan-theta", "0:1:0.4"], capsys)

@@ -1,6 +1,8 @@
 """Hidden-variable models: half-plane rule, LHV table, crypto-nonlocal model."""
 
 import inspect
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -325,6 +327,19 @@ class TestChunkedSampler:
         means, _ = float_reference_sampler(params, n_samples, 17, 2)
         assert (result.mean_a, result.mean_b, result.mean_ab) == means
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [2, 3, 5])
+    def test_any_thread_count_identical_to_float_reference(self, monkeypatch, shards, threads):
+        # shards run on parallel_map threads; the summed integer counts must
+        # not depend on how many threads there are or which finishes first
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks: threads)
+        params = in_plane_params(0.2, 1.0)
+        n_samples = 3 * self.CHUNK + 7
+        result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=23, shards=shards)
+        means, stderrs = float_reference_sampler(params, n_samples, 23, shards)
+        assert (result.mean_a, result.mean_b, result.mean_ab) == means
+        assert (result.stderr_a, result.stderr_b, result.stderr_ab) == stderrs
+
     @pytest.mark.parametrize("at", ["lambda_A", "x1", "x2"])
     def test_a_threshold_on_a_drawn_lambda_is_inside_its_interval(self, monkeypatch, at):
         # ties have measure zero, so put a threshold exactly on a value the stream draws
@@ -336,6 +351,64 @@ class TestChunkedSampler:
         result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=19)
         means, _ = float_reference_sampler(params, n_samples, 19, 1)
         assert (result.mean_a, result.mean_b, result.mean_ab) == means
+
+
+class TestParallelMap:
+    def test_results_keep_input_order_with_concurrent_workers(self, monkeypatch):
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks: 3)
+        # the first three jobs can only pass the barrier together, which
+        # needs three workers running at once; later jobs finish first
+        barrier = threading.Barrier(3)
+
+        def job(index, value):
+            if index < 3:
+                barrier.wait(timeout=10)
+            else:
+                threading.Event().wait(0.001 * (8 - index))
+            return value, threading.get_ident()
+
+        results = hvmodels.parallel_map(job, range(8), "abcdefgh")
+        assert [value for value, _ in results] == list("abcdefgh")
+        assert len({ident for _, ident in results[:3]}) == 3
+        assert threading.get_ident() in {ident for _, ident in results}
+
+    def test_every_job_runs_once_under_frequent_thread_switches(self, monkeypatch):
+        # more workers than cores, switching every microsecond: a lost or
+        # repeated job index would show up as a missing or doubled run
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks: 8)
+        runs = [0] * 2000
+        lock = threading.Lock()
+
+        def job(index):
+            with lock:
+                runs[index] += 1
+            return index
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = hvmodels.parallel_map(job, range(len(runs)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(len(runs)))
+        assert runs == [1] * len(runs)
+
+    def test_zips_iterables_and_handles_no_jobs(self):
+        assert hvmodels.parallel_map(pow, [2, 3, 4], [5, 2, 1]) == [32, 9, 4]
+        assert hvmodels.parallel_map(pow, [], []) == []
+
+    def test_reraises_the_first_failed_job_after_joining(self, monkeypatch):
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks: 2)
+        threads_before = threading.active_count()
+
+        def job(index):
+            if index in (2, 4):
+                raise ValueError(f"job {index} failed")
+            return index
+
+        with pytest.raises(ValueError, match="job 2 failed"):
+            hvmodels.parallel_map(job, range(6))
+        assert threading.active_count() == threads_before
 
 
 class TestOutcomeRules:

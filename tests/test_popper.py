@@ -203,6 +203,27 @@ class TestConditional:
             with pytest.raises(ValueError, match="finite"):
                 make()
 
+    @pytest.mark.parametrize("scale", [1e155, 1e300, 1e-155, 1e-300])
+    def test_spreads_need_finite_squares_and_reciprocal_squares(self, scale):
+        # 1 / (8 sigma**2) of 1e-200 raised ZeroDivisionError, which is not a ValueError
+        for make in (lambda: GaussianPairState(scale, 1.0), lambda: GaussianPairState(1.0, scale)):
+            with pytest.raises(ValueError, match="reciprocal squares"):
+                make()
+
+    @pytest.mark.parametrize("profile", ["gaussian", "hard"])
+    @pytest.mark.parametrize("width", [1e155, 1e300])
+    def test_slit_width_needs_a_finite_square(self, width, profile):
+        # width**2 of 1e300 raised OverflowError, which is not a ValueError
+        with pytest.raises(ValueError, match="finite square"):
+            SlitCondition(width, profile=profile)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_value_types_accept_scales_with_finite_squares(self, scale):
+        state = GaussianPairState(scale, scale)
+        slit = SlitCondition(scale)
+        assert all(math.isfinite(c) for c in state.exponent_coefficients())
+        assert 0.0 < slit.intensity_variance < math.inf
+
     @pytest.mark.parametrize("sp,sm", [(20.0, 0.5), (0.5, 20.0)])
     def test_extreme_spread_ratio_matches_grid_free_kappa(self, sp, sm):
         # spread ratio 40: every factor of the FFT kernel is <= 1, so nothing

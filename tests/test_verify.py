@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from qfoundry import inequalities, verify
+from qfoundry import hvmodels, inequalities, verify
 
 
 def test_tampered_kcbs_state_fails_with_reported_delta(monkeypatch):
@@ -72,7 +72,7 @@ def test_check_lines_are_one_per_criterion():
 def test_leggett_check_is_the_same_for_any_pool_size(monkeypatch):
     measured = {}
     for workers in (1, 2):
-        monkeypatch.setattr(verify, "_pool_size", lambda tasks, workers=workers: workers)
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks, workers=workers: min(tasks, workers))
         measured[workers] = verify.check_leggett_model(7).measured
     assert measured[1] == measured[2]
 
@@ -81,4 +81,4 @@ def test_pool_size_is_one_thread_per_cpu_at_most_one_per_scenario(monkeypatch):
     # only the size is computed; no thread is started
     for cpus, expected in ((4096, 97), (2, 2), (1, 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-        assert verify._pool_size(97) == expected
+        assert hvmodels.pool_size(97) == expected
