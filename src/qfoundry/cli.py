@@ -58,7 +58,10 @@ def _parse_scan(spec: str, name: str) -> np.ndarray:
 
 def finite_float(text: str) -> float:
     """argparse type: a float that is neither NaN nor infinite."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: refused below with the same rule
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
@@ -66,7 +69,10 @@ def finite_float(text: str) -> float:
 
 def positive_int(text: str) -> int:
     """argparse type: an integer >= 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

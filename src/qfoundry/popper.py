@@ -157,7 +157,8 @@ class GridSpec:
         smallest = min(state.sigma_plus, state.sigma_minus, slit.width)
         needed = 2.0 * extent * _MIN_POINTS_PER_SCALE * oversample / smallest
         if needed > MAX_GRID_POINTS:
-            raise ValueError(f"scale {smallest:.3g} needs {needed:.3g} > MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points")
+            count = f"{needed:.3g} >" if math.isfinite(needed) else "more than"
+            raise ValueError(f"scale {smallest:.3g} needs {count} MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points")
         points = 1 << max(4, math.ceil(math.log2(needed)))
         return cls(points, extent)
 

@@ -225,8 +225,17 @@ def check_leggett_violation(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
+# sigma_k (x) sigma_l as 4x4 matrices, indexed [k, l]
+_PAULI_PAIRS = np.einsum("kuv,lwx->kluwvx", qcore.PAULIS, qcore.PAULIS).reshape(3, 3, 4, 4)
+
+
 def _random_correlator_batch(seed: int, trials: int) -> np.ndarray:
-    """Correlator tables e[n, i, j] for random two-qubit states and settings."""
+    """Correlator tables e[n, i, j] for random two-qubit states and settings.
+
+    Each state's correlation tensor T[n, k, l] = Re <psi| sigma_k (x) sigma_l |psi>
+    is contracted with its settings, e[n, i, j] = a_ni . T_n . b_nj, so no
+    intermediate holds more than 9 complex numbers per trial.
+    """
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=(trials, 4)) + 1j * rng.normal(size=(trials, 4))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -234,14 +243,16 @@ def _random_correlator_batch(seed: int, trials: int) -> np.ndarray:
     settings_a /= np.linalg.norm(settings_a, axis=2, keepdims=True)
     settings_b = rng.normal(size=(trials, 2, 3))
     settings_b /= np.linalg.norm(settings_b, axis=2, keepdims=True)
-    ops_a = np.einsum("nik,kuv->niuv", settings_a, qcore.PAULIS)
-    ops_b = np.einsum("njk,kuv->njuv", settings_b, qcore.PAULIS)
-    joint = np.einsum("niuv,njwx->nijuwvx", ops_a, ops_b).reshape(trials, 2, 2, 4, 4)
-    return np.real(np.einsum("np,nijpq,nq->nij", psi.conj(), joint, psi))
+    tensor = np.real(np.einsum("np,klpq,nq->nkl", psi.conj(), _PAULI_PAIRS, psi))
+    return settings_a @ tensor @ settings_b.transpose(0, 2, 1)
 
 
 def check_chsh(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 6: singlet optimum reaches 2 sqrt(2); random states never exceed it."""
+    """Criterion 6: singlet optimum reaches 2 sqrt(2); random states never exceed it.
+
+    The 1e4 random configurations come from :func:`_random_correlator_batch`,
+    which contracts each state's correlation tensor with its settings.
+    """
     optimum = inequalities.chsh_optimize(qcore.singlet())
     singlet_error = abs(optimum.s_max - inequalities.TSIRELSON_BOUND)
 
@@ -330,7 +341,11 @@ def check_hardy(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_tlm(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 9: quantum records satisfy TLM, the PR box violates it."""
+    """Criterion 9: quantum records satisfy TLM, the PR box violates it.
+
+    The 1e4 quantum records are :func:`_random_correlator_batch` tables drawn
+    from ``seed + 1``, clipped to [-1, 1] against rounding.
+    """
     trials = 10_000
     e = np.clip(_random_correlator_batch(seed + 1, trials), -1.0, 1.0)
     lhs, rhs = inequalities.tlm_sides(e)

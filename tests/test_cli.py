@@ -322,6 +322,23 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: must be a finite number" in err
 
+    @pytest.mark.parametrize(
+        "argv, rule",
+        [
+            (["popper", "--width", "abc"], "--width: must be a finite number, got 'abc'"),
+            (["noon", "--n", "abc"], "--n: must be an integer of at least 1, got 'abc'"),
+            (["leggett", "--jobs", "abc"], "--jobs: must be an integer of at least 1, got 'abc'"),
+        ],
+        ids=["popper", "noon", "leggett"],
+    )
+    def test_non_numeric_flag_exits_2_stating_the_rule(self, argv, rule, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert rule in err
+        assert "finite_float" not in err and "positive_int" not in err
+
     def test_non_finite_weights_exit_2(self, capsys):
         code, out, err = run_cli(["lhv-table", "--weights", "nan,0,0,0,0,0,0,1"], capsys)
         assert code == 2
@@ -438,6 +455,38 @@ def test_no_scenario_loads_scipy():
     )
     result = run_fresh_interpreter("-c", script)
     assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    # a finder that refuses scipy turns any import of it, however deep, into a failure
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, os, sys
+
+        class RefuseScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"scipy is blocked: {name}")
+
+        sys.meta_path.insert(0, RefuseScipy())
+        import qfoundry.cli as cli
+
+        tmp = sys.argv[1]
+        argvs = [["verify", "--output", os.path.join(tmp, "verify.json")]]
+        argvs += [[name, "--output", os.path.join(tmp, name + ".json")] for name in cli.SCENARIOS]
+        argvs.append(["leggett", "--format", "csv", "--output", os.path.join(tmp, "leggett.csv")])
+        codes = {}
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[" ".join(argv[:-2])] = cli.main(argv)
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+        """
+    )
+    result = json.loads(run_fresh_interpreter("-c", script, str(tmp_path)).stdout)
+    assert result["scipy"] == []
+    assert set(result["codes"]) == {"verify", *cli.SCENARIOS, "leggett --format csv"}
+    assert all(code == 0 for code in result["codes"].values()), result["codes"]
 
 
 def test_start_up_does_not_load_the_thread_pool():

@@ -1,6 +1,7 @@
 """Conditional and marginal uncertainties of the entangled Gaussian pair."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -382,4 +383,5 @@ class TestGridBound:
         assert code == 2
         assert captured.out == ""
         assert "MAX_GRID_POINTS" in captured.err
+        assert not re.search(r"\b(inf|nan)\b", captured.err, re.IGNORECASE), captured.err
         assert peak < 1024 * 1024

@@ -1,10 +1,14 @@
 """Verifier behavior: fault injection, report rendering, failure surfacing."""
 
 import os
+import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfoundry import hvmodels, inequalities, verify
+from qfoundry import hvmodels, inequalities, qcore, verify
 
 
 def test_tampered_kcbs_state_fails_with_reported_delta(monkeypatch):
@@ -82,3 +86,56 @@ def test_pool_size_is_one_thread_per_cpu_at_most_one_per_scenario(monkeypatch):
     for cpus, expected in ((4096, 97), (2, 2), (1, 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         assert hvmodels.pool_size(97) == expected
+
+
+def random_draws(seed, trials):
+    """The states and settings ``_random_correlator_batch`` draws, in its order."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(trials, 4)) + 1j * rng.normal(size=(trials, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    settings_a = rng.normal(size=(trials, 2, 3))
+    settings_a /= np.linalg.norm(settings_a, axis=2, keepdims=True)
+    settings_b = rng.normal(size=(trials, 2, 3))
+    settings_b /= np.linalg.norm(settings_b, axis=2, keepdims=True)
+    return psi, settings_a, settings_b
+
+
+def joint_operator_oracle(seed, trials):
+    """Correlator tables from the full (n, 2, 2, 4, 4) joint-operator tensor."""
+    psi, settings_a, settings_b = random_draws(seed, trials)
+    ops_a = np.einsum("nik,kuv->niuv", settings_a, qcore.PAULIS)
+    ops_b = np.einsum("njk,kuv->njuv", settings_b, qcore.PAULIS)
+    joint = np.einsum("niuv,njwx->nijuwvx", ops_a, ops_b).reshape(trials, 2, 2, 4, 4)
+    return np.real(np.einsum("np,nijpq,nq->nij", psi.conj(), joint, psi))
+
+
+class TestCorrelatorBatch:
+    @pytest.mark.parametrize("trials", [1, 7, 10_000])
+    @pytest.mark.parametrize("seed", [2026, 2027, 17, 18, 99, 100])
+    def test_matches_joint_operator_oracle(self, seed, trials):
+        e = verify._random_correlator_batch(seed, trials)
+        assert e.shape == (trials, 2, 2)
+        np.testing.assert_allclose(e, joint_operator_oracle(seed, trials), rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_each_table_is_the_born_rule_correlation(self, seed, trials):
+        e = verify._random_correlator_batch(seed, trials)
+        for psi, pair_a, pair_b, table in zip(*random_draws(seed, trials), e):
+            state = qcore.StateVector((2, 2), psi)
+            for i, a in enumerate(pair_a):
+                for j, b in enumerate(pair_b):
+                    expected = inequalities.setting_correlation(
+                        state, qcore.MeasurementSetting(a), qcore.MeasurementSetting(b)
+                    )
+                    assert abs(table[i, j] - expected) <= 1e-14
+
+    def test_peak_memory_stays_small(self):
+        # the joint-operator tensor alone is 10.2 MB at 1e4 trials
+        tracemalloc.start()
+        try:
+            verify._random_correlator_batch(2026, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 1024 * 1024
