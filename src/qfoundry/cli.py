@@ -194,6 +194,8 @@ def _scenario_chsh(args) -> ResultTable:
 
 def _scenario_leggett(args) -> ResultTable:
     model_flags = [args.u, args.v, args.a, args.b]
+    if args.samples < 0 or (args.samples and all(f is None for f in model_flags)):
+        raise ValueError(f"--samples must be 0, or positive with --u, --v, --a and --b; got {args.samples}")
     if any(f is not None for f in model_flags):
         if any(f is None for f in model_flags):
             raise ValueError("model mode needs all of --u, --v, --a, --b")
@@ -336,6 +338,10 @@ def _scenario_noon(args) -> ResultTable:
 def _scenario_popper(args) -> ResultTable:
     state = popper.GaussianPairState(args.sigma_plus, args.sigma_minus)
     slit = popper.SlitCondition(args.width, args.center, args.profile)
+    if args.points and not 4 <= args.points <= popper.MAX_GRID_POINTS:
+        raise ValueError(f"--points must be 0 or 4 to MAX_GRID_POINTS = {popper.MAX_GRID_POINTS}, got {args.points}")
+    if args.extent is not None and (args.extent <= 0.0 or not args.points):
+        raise ValueError(f"--extent must be positive and needs --points, got --extent {args.extent} --points {args.points}")
     grid = popper.GridSpec(args.points, args.extent) if args.points else popper.GridSpec.auto(state, slit)
     conditional = popper.conditional_uncertainties(state, slit, grid)
     unconditioned = popper.unconditioned_uncertainties(state)

@@ -2,9 +2,10 @@
 
 Three models live here:
 
-* the half-plane polarization variable :func:`poincare_lambda`, which
+* the local half-plane polarization model: :func:`poincare_lambda`
   pre-assigns the +-1 outcome of a transverse polarization measurement from
-  the azimuth of the polarization vector;
+  the azimuth of the polarization vector, and :func:`poincare_outcome`
+  applies it to a setting for a hidden variable uniform on [0, 1];
 * the exhaustive local-hidden-variable table over three polarizer settings
   (:class:`LocalHVTable`), whose same-outcome probability is bounded below
   by 1/3 for every weighting of the eight deterministic rows;
@@ -24,6 +25,9 @@ Three models live here:
   hold for every a, b in the plane perpendicular to u and v.  Outside that
   region :class:`ModelInconsistentError` is raised.
 
+The outcome rules :func:`poincare_outcome` and :func:`leggett_outcomes` take
+arrays of lambda and are the models' only definitions; the tests use the latter
+as the sampler's oracle, evaluated on the same lambda stream.
 Interval ties (lambda exactly at a threshold) resolve to the first listed
 case, i.e. toward +1; the tie set has measure zero under the uniform density.
 
@@ -133,20 +137,13 @@ def lhv_same_probability(table: LocalHVTable) -> float:
     return float(table.weights @ fractions)
 
 
-def lhv_minimum_same_probability(rows: Iterable[int] | None = None) -> Fraction:
+def lhv_minimum_same_probability() -> Fraction:
     """Exact minimum of the same-outcome probability over the weight simplex.
 
     The probability is affine in the weights, so the minimum over the
     simplex is attained at a vertex; it suffices to enumerate the rows.
-    ``rows`` optionally restricts the support (0-based row indices).
     """
-    indices = range(len(LOCAL_HV_ROWS)) if rows is None else sorted(set(rows))
-    if not indices:
-        raise ValueError("row restriction is empty")
-    for i in indices:
-        if not 0 <= i < len(LOCAL_HV_ROWS):
-            raise ValueError(f"row index {i} out of range")
-    return min(row_same_fraction(LOCAL_HV_ROWS[i]) for i in indices)
+    return min(row_same_fraction(row) for row in LOCAL_HV_ROWS)
 
 
 @dataclass(frozen=True)
@@ -180,14 +177,14 @@ def leggett_thresholds(params: LeggettModelParams) -> tuple[float, float, float]
     return lambda_a, x1, x2
 
 
-def leggett_is_consistent(params: LeggettModelParams, atol: float = CONSISTENCY_ATOL) -> bool:
+def leggett_is_consistent(params: LeggettModelParams) -> bool:
     """Whether the interval construction is valid for these settings.
 
     Checks |a.b + u.a| <= 1 - v.b and |a.b - u.a| <= 1 + v.b, which is
     equivalent to 0 <= x1 <= lambda_A <= x2 <= 1.
     """
     ua, vb, ab = params.ua, params.vb, params.ab
-    return abs(ab + ua) <= 1.0 - vb + atol and abs(ab - ua) <= 1.0 + vb + atol
+    return abs(ab + ua) <= 1.0 - vb + CONSISTENCY_ATOL and abs(ab - ua) <= 1.0 + vb + CONSISTENCY_ATOL
 
 
 def _require_consistent(params: LeggettModelParams) -> None:
@@ -200,16 +197,30 @@ def _require_consistent(params: LeggettModelParams) -> None:
         )
 
 
-def leggett_outcomes(params: LeggettModelParams, lam: float) -> tuple[int, int]:
-    """Deterministic outcome pair (A, B) for hidden variable ``lam``."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda = {lam!r} outside [0, 1]")
+def poincare_outcome(setting: MeasurementSetting, lam) -> np.ndarray:
+    """Local rule: +-1 integer outcomes of ``lam``'s shape at one setting.
+
+    Both photons carry the hidden vector w = (cos 2 pi lam, sin 2 pi lam, 0);
+    the outcome is the sign of w.setting, and ties give +1 as in the closed
+    upper half-plane of :func:`poincare_lambda`.
+    """
+    phi = 2.0 * np.pi * np.asarray(lam, dtype=float)
+    x, y, _ = setting.direction
+    return np.where(np.cos(phi) * x + np.sin(phi) * y >= 0.0, 1, -1)
+
+
+def leggett_outcomes(params: LeggettModelParams, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Crypto-nonlocal rule: +-1 integer outcomes (A, B), each of ``lam``'s shape.
+
+    A = +1 on [0, lambda_A] and B = +1 on [x1, x2] (:func:`leggett_thresholds`).
+    """
+    lam = np.asarray(lam, dtype=float)
+    outside = ~((lam >= 0.0) & (lam <= 1.0))  # NaN is outside too
+    if outside.any():
+        raise ValueError(f"lambda = {float(lam[outside][0])!r} outside [0, 1]")
     _require_consistent(params)
     lambda_a, x1, x2 = leggett_thresholds(params)
-    a_out = +1 if lam <= lambda_a else -1
-    b_out = +1 if x1 <= lam <= x2 else -1
-    return a_out, b_out
+    return np.where(lam <= lambda_a, 1, -1), np.where((x1 <= lam) & (lam <= x2), 1, -1)
 
 
 @dataclass(frozen=True)
@@ -364,56 +375,6 @@ def leggett_expectations(
         "monte-carlo",
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class HiddenVariableOutcomeRule:
-    """Deterministic outcome maps (a, b, lambda) -> +-1 plus the lambda law.
-
-    ``kind`` is "local" (each map ignores the remote setting) or
-    "crypto-nonlocal" (maps may read both settings but never the remote
-    outcome; the signature has no outcome argument by construction).
-    """
-
-    kind: str
-    outcome_a: Callable[[MeasurementSetting, MeasurementSetting, float], int]
-    outcome_b: Callable[[MeasurementSetting, MeasurementSetting, float], int]
-    lambda_density: str = "uniform on [0, 1]"
-
-
-def poincare_rule() -> HiddenVariableOutcomeRule:
-    """Local rule: a shared transverse polarization at azimuth 2*pi*lambda.
-
-    Both photons carry the same hidden vector w = (cos phi, sin phi, 0) and
-    each outcome is the sign of w projected on the local setting (ties at
-    zero projection count as +1, matching the closed upper half-plane of
-    :func:`poincare_lambda`).
-    """
-
-    def _outcome(setting: MeasurementSetting, _other: MeasurementSetting, lam: float) -> int:
-        phi = 2.0 * np.pi * float(lam)
-        w = np.array([np.cos(phi), np.sin(phi), 0.0])
-        return +1 if w @ setting.direction >= 0.0 else -1
-
-    def outcome_a(a, b, lam):
-        return _outcome(a, b, lam)
-
-    def outcome_b(a, b, lam):
-        return _outcome(b, a, lam)
-
-    return HiddenVariableOutcomeRule("local", outcome_a, outcome_b)
-
-
-def leggett_rule(u: MeasurementSetting, v: MeasurementSetting) -> HiddenVariableOutcomeRule:
-    """Crypto-nonlocal rule for fixed initial polarizations u and v."""
-
-    def outcome_a(a, b, lam):
-        return leggett_outcomes(LeggettModelParams(u, v, a, b), lam)[0]
-
-    def outcome_b(a, b, lam):
-        return leggett_outcomes(LeggettModelParams(u, v, a, b), lam)[1]
-
-    return HiddenVariableOutcomeRule("crypto-nonlocal", outcome_a, outcome_b)
 
 
 def fibonacci_sphere(n: int = 97) -> np.ndarray:

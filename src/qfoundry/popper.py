@@ -126,6 +126,16 @@ class SlitCondition:
         return SlitCondition(math.sqrt(self.intensity_variance), self.center, "gaussian")
 
 
+def _auto_extent(state: GaussianPairState, slit: SlitCondition | None) -> float:
+    """Default grid half-width: eight of the wider spread, plus the slit's offset."""
+    return 8.0 * max(state.sigma_plus, state.sigma_minus) + (abs(slit.center) if slit is not None else 0.0)
+
+
+def _smallest_scale(state: GaussianPairState, slit: SlitCondition) -> float:
+    """Shortest length the grid must resolve."""
+    return min(state.sigma_plus, state.sigma_minus, slit.width)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid with 4 to ``MAX_GRID_POINTS`` samples over [-extent, extent)."""
@@ -141,11 +151,7 @@ class GridSpec:
         object.__setattr__(self, "points", int(self.points))
 
     def resolve(self, state: GaussianPairState, slit: SlitCondition | None = None):
-        extent = self.extent
-        if extent is None:
-            extent = 8.0 * max(state.sigma_plus, state.sigma_minus)
-            if slit is not None:
-                extent += abs(slit.center)
+        extent = self.extent or _auto_extent(state, slit)
         dx = 2.0 * extent / self.points
         x = -extent + dx * np.arange(self.points)
         return x, dx
@@ -153,8 +159,8 @@ class GridSpec:
     @classmethod
     def auto(cls, state: GaussianPairState, slit: SlitCondition, oversample: float = 2.0) -> "GridSpec":
         """Power-of-two grid resolving every scale with headroom."""
-        extent = 8.0 * max(state.sigma_plus, state.sigma_minus) + abs(slit.center)
-        smallest = min(state.sigma_plus, state.sigma_minus, slit.width)
+        extent = _auto_extent(state, slit)
+        smallest = _smallest_scale(state, slit)
         needed = 2.0 * extent * _MIN_POINTS_PER_SCALE * oversample / smallest
         if needed > MAX_GRID_POINTS:
             count = f"{needed:.3g} >" if math.isfinite(needed) else "more than"
@@ -174,7 +180,7 @@ class UncertaintyReport:
 
 
 def _check_resolution(state: GaussianPairState, slit: SlitCondition, dx: float) -> None:
-    smallest = min(state.sigma_plus, state.sigma_minus, slit.width)
+    smallest = _smallest_scale(state, slit)
     if dx > smallest / _MIN_POINTS_PER_SCALE:
         raise UnderResolvedGridError(
             f"grid spacing {dx:.6g} exceeds smallest scale {smallest:.6g} / "

@@ -231,12 +231,23 @@ class TestErrorMessages:
         assert f"MAX_N_MAX = {fock.MAX_N_MAX}" in err
 
 
+    MODEL = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0"]
+
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["hom", "--n-max", "1"], "--n-max"), (["hom", "--n-max=-1"], "--n-max"), (["noon", "--n", "0"], "--n:")],
-        ids=["hom", "hom-negative", "noon"],
+        [
+            (["hom", "--n-max", "1"], "--n-max"),
+            (["hom", "--n-max=-1"], "--n-max"),
+            (["noon", "--n", "0"], "--n:"),
+            ([*MODEL, "--samples=-5"], "--samples"),
+            (["leggett", "--samples=-5"], "--samples"),
+            (["popper", "--points", "2"], "--points"),
+            (["popper", "--points=-1"], "--points"),
+            (["popper", "--points", "64", "--extent=-1"], "--extent"),
+        ],
+        ids=["hom", "hom-negative", "noon", "samples-model", "samples-scan", "points", "points-negative", "extent"],
     )
-    def test_fock_values_below_the_minimum_name_their_flag(self, argv, flag, capsys):
+    def test_out_of_range_values_name_their_flag(self, argv, flag, capsys):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the value of a typed flag
@@ -245,7 +256,21 @@ class TestErrorMessages:
         assert code == 2
         assert captured.out == ""
         assert flag in captured.err
-        assert "n_max =" not in captured.err
+        # the library's own parameter wording, which names no flag
+        for phrase in ("n_max =", "n_samples", "grid needs", "extent must be positive and finite"):
+            assert phrase not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [(["popper", "--extent", "50"], ["--extent", "--points"]), (["leggett", "--samples", "5"], ["--samples", "--u"])],
+        ids=["extent-without-points", "samples-without-model"],
+    )
+    def test_a_flag_the_scenario_would_ignore_exits_2(self, argv, flags, capsys):
+        # these printed the automatic grid and the phi scan as if the flag were absent
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert all(flag in err for flag in flags), err
 
     @pytest.mark.parametrize(
         "argv",

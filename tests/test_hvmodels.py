@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfoundry import hvmodels
 from qfoundry.hvmodels import (
@@ -19,11 +21,10 @@ from qfoundry.hvmodels import (
     leggett_expectations,
     leggett_is_consistent,
     leggett_outcomes,
-    leggett_rule,
     lhv_minimum_same_probability,
     lhv_same_probability,
     poincare_lambda,
-    poincare_rule,
+    poincare_outcome,
     row_same_fraction,
 )
 from qfoundry.qcore import MeasurementSetting
@@ -88,10 +89,6 @@ class TestLocalHVTable:
     def test_minimum_is_exactly_one_third(self):
         assert lhv_minimum_same_probability() == Fraction(1, 3)
 
-    def test_minimum_restricted_subsets(self):
-        assert lhv_minimum_same_probability(rows=[0, 7]) == 1
-        assert lhv_minimum_same_probability(rows=[1, 2]) == Fraction(1, 3)
-
     def test_affine_in_weights_and_vertex_minimum(self):
         rng = np.random.default_rng(41)
         fractions = np.array([float(row_same_fraction(r)) for r in LOCAL_HV_ROWS])
@@ -143,6 +140,36 @@ class TestLeggettOutcomes:
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
             leggett_outcomes(in_plane_params(), 1.5)
+        # one bad value anywhere in an array refuses the whole array
+        for bad in (np.nan, -1e-300, 1.0 + 1e-15, np.inf):
+            lambdas = np.linspace(0.0, 1.0, 9)
+            lambdas[4] = bad
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                leggett_outcomes(in_plane_params(), lambdas)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(0.0, 2.0 * np.pi),
+        st.floats(0.0, 2.0 * np.pi),
+        st.floats(0.0, np.pi),
+        st.floats(0.0, np.pi),
+        st.integers(1, 4096),
+    )
+    def test_midpoint_grid_means_match_analytic(self, theta_a, theta_b, tilt_u, tilt_v, n):
+        # analyzers in the xy-plane, u tilted towards x and v towards y; each
+        # threshold moves a midpoint-grid mean by at most 2/n, and AB changes at three
+        params = LeggettModelParams(
+            MeasurementSetting([np.sin(tilt_u), 0.0, np.cos(tilt_u)]),
+            MeasurementSetting([0.0, np.sin(tilt_v), np.cos(tilt_v)]),
+            MeasurementSetting([np.cos(theta_a), np.sin(theta_a), 0.0]),
+            MeasurementSetting([np.cos(theta_b), np.sin(theta_b), 0.0]),
+        )
+        assume(leggett_is_consistent(params))
+        analytic = leggett_expectations(params, method="analytic")
+        a_out, b_out = leggett_outcomes(params, (np.arange(n) + 0.5) / n)
+        assert abs(a_out.mean() - analytic.mean_a) <= 8.0 / n
+        assert abs(b_out.mean() - analytic.mean_b) <= 8.0 / n
+        assert abs((a_out * b_out).mean() - analytic.mean_ab) <= 8.0 / n
 
     def test_tie_break_closed_intervals(self):
         params = in_plane_params(0.0, np.pi / 2.0)
@@ -227,8 +254,7 @@ class TestLeggettExpectations:
 
 
 def float_reference_sampler(params, n_samples, seed, shards):
-    """Sample means by summing float +-1 outcome arrays drawn in one piece per shard."""
-    lambda_a, x1, x2 = hvmodels.leggett_thresholds(params)
+    """Sample means of the model's rule, ``hvmodels.leggett_outcomes``, on each shard's whole draw at once."""
     if shards == 1:
         generators = [np.random.default_rng(seed)]
         counts = [n_samples]
@@ -236,16 +262,12 @@ def float_reference_sampler(params, n_samples, seed, shards):
         generators = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(shards)]
         base, extra = divmod(n_samples, shards)
         counts = [base + (1 if i < extra else 0) for i in range(shards)]
-    sum_a = sum_b = sum_ab = 0.0
+    sum_a = sum_b = sum_ab = 0
     for rng, count in zip(generators, counts):
-        if count == 0:
-            continue
-        lam = rng.random(count)
-        a_out = np.where(lam <= lambda_a, 1.0, -1.0)
-        b_out = np.where((x1 <= lam) & (lam <= x2), 1.0, -1.0)
-        sum_a += float(a_out.sum())
-        sum_b += float(b_out.sum())
-        sum_ab += float((a_out * b_out).sum())
+        a_out, b_out = hvmodels.leggett_outcomes(params, rng.random(count))
+        sum_a += int(a_out.sum())
+        sum_b += int(b_out.sum())
+        sum_ab += int((a_out * b_out).sum())
     means = (sum_a / n_samples, sum_b / n_samples, sum_ab / n_samples)
     stderrs = tuple(float(np.sqrt(max(0.0, 1.0 - m * m) / n_samples)) for m in means)
     return means, stderrs
@@ -412,58 +434,43 @@ class TestParallelMap:
 
 
 class TestOutcomeRules:
+    X = MeasurementSetting([1.0, 0.0, 0.0])
+    Y = MeasurementSetting([0.0, 1.0, 0.0])
+    Z = MeasurementSetting([0.0, 0.0, 1.0])
+
     def test_local_rule_ignores_remote_setting(self):
-        # exhaustive over a setting grid and 10^3 hidden-variable values
-        rule = poincare_rule()
-        assert rule.kind == "local"
-        settings = [MeasurementSetting(p) for p in fibonacci_sphere(12)]
-        lambdas = np.linspace(0.0, 0.999, 1000)
-        for a in settings[:3]:
-            for lam in lambdas:
-                reference = rule.outcome_a(a, settings[0], lam)
-                for b in settings[::3]:
-                    assert rule.outcome_a(a, b, lam) == reference
-                    assert rule.outcome_b(b, a, lam) == rule.outcome_b(settings[0], a, lam)
+        # locality is structural: the local rule takes one setting and lambda
+        assert list(inspect.signature(poincare_outcome).parameters) == ["setting", "lam"]
 
     def test_local_rule_reproduces_half_plane_assignment(self):
-        rule = poincare_rule()
-        y_axis = MeasurementSetting([0.0, 1.0, 0.0])
-        for lam in np.linspace(0.0, 0.9999, 500):
-            phi = 2.0 * np.pi * lam
-            assert rule.outcome_a(y_axis, y_axis, lam) == poincare_lambda(phi)
+        lambdas = np.linspace(0.0, 0.9999, 500)
+        expected = [poincare_lambda(2.0 * np.pi * lam) for lam in lambdas]
+        assert poincare_outcome(self.Y, lambdas).tolist() == expected
 
     def test_rule_outcomes_are_binary(self):
+        # +-1 integers of lambda's shape, for a scalar and for an array
         rng = np.random.default_rng(53)
-        rule = poincare_rule()
-        for _ in range(100):
-            a = MeasurementSetting.random(rng)
-            b = MeasurementSetting.random(rng)
-            lam = rng.random()
-            assert rule.outcome_a(a, b, lam) in (-1, +1)
-            assert rule.outcome_b(a, b, lam) in (-1, +1)
+        for lam in (rng.random(), rng.random((10, 100))):
+            for _ in range(20):
+                params = in_plane_params(*rng.uniform(0.0, 2.0 * np.pi, size=2))
+                for outcomes in (poincare_outcome(MeasurementSetting.random(rng), lam), *leggett_outcomes(params, lam)):
+                    assert outcomes.shape == np.shape(lam)
+                    assert np.issubdtype(outcomes.dtype, np.integer)
+                    assert set(np.unique(outcomes).tolist()) <= {-1, 1}
 
     def test_crypto_nonlocal_rule_never_sees_remote_outcome(self):
-        # outcome independence is structural: the signatures carry no
+        # outcome independence is structural: the signature carries no
         # outcome argument at all
-        z = MeasurementSetting([0.0, 0.0, 1.0])
-        rule = leggett_rule(z, z)
-        assert rule.kind == "crypto-nonlocal"
-        for fn in (rule.outcome_a, rule.outcome_b):
-            names = list(inspect.signature(fn).parameters)
-            assert names == ["a", "b", "lam"]
         assert list(inspect.signature(leggett_outcomes).parameters) == ["params", "lam"]
 
     def test_crypto_nonlocal_rule_depends_on_both_settings(self):
-        z = MeasurementSetting([0.0, 0.0, 1.0])
-        rule = leggett_rule(z, z)
-        a = MeasurementSetting([1.0, 0.0, 0.0])
-        b1 = MeasurementSetting([1.0, 0.0, 0.0])
-        b2 = MeasurementSetting([-1.0, 0.0, 0.0])
-        changed = any(
-            rule.outcome_b(a, b1, lam) != rule.outcome_b(a, b2, lam)
-            for lam in np.linspace(0.0, 1.0, 101)
-        )
-        assert changed
+        lambdas = np.linspace(0.0, 1.0, 101)
+        a_first, b_first = leggett_outcomes(LeggettModelParams(self.Z, self.Z, self.X, self.X), lambdas)
+        a_second, b_second = leggett_outcomes(LeggettModelParams(self.Z, self.Z, self.X, self.Y), lambdas)
+        _, b_third = leggett_outcomes(LeggettModelParams(self.Z, self.Z, self.Y, self.Y), lambdas)
+        assert (b_first != b_second).any()  # B changes with b
+        assert (b_second != b_third).any()  # and with the remote setting a
+        assert (a_first == a_second).all()  # A = +1 on [0, lambda_A] whatever b is
 
 
 def test_fibonacci_sphere_properties():
