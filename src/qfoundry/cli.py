@@ -26,6 +26,8 @@ from .report import ResultTable, render_table_csv, render_table_csv_sidecar, ren
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
+# the leggett phi scan when --scan-phi is not given, in degrees
+DEFAULT_SCAN_PHI = "0:90:0.01"
 
 
 def _default_seed() -> int:
@@ -196,9 +198,16 @@ def _scenario_leggett(args) -> ResultTable:
     model_flags = [args.u, args.v, args.a, args.b]
     if args.samples < 0 or (args.samples and all(f is None for f in model_flags)):
         raise ValueError(f"--samples must be 0, or positive with --u, --v, --a and --b; got {args.samples}")
+    if args.jobs is not None and not args.samples:
+        raise ValueError(f"--jobs sets the Monte Carlo substreams and needs --samples; got --jobs {args.jobs}")
     if any(f is not None for f in model_flags):
         if any(f is None for f in model_flags):
             raise ValueError("model mode needs all of --u, --v, --a, --b")
+        if args.scan_phi is not None:
+            raise ValueError(
+                "--scan-phi sets the phi scan and cannot be combined with --u, --v, --a, --b; "
+                f"got --scan-phi {args.scan_phi}"
+            )
         params = LeggettModelParams(
             _parse_vector(args.u, "--u"),
             _parse_vector(args.v, "--v"),
@@ -211,13 +220,15 @@ def _scenario_leggett(args) -> ResultTable:
             "mean_b_analytic": analytic.mean_b,
             "mean_ab_analytic": analytic.mean_ab,
         }
+        recorded = {"u": args.u, "v": args.v, "a": args.a, "b": args.b, "samples": args.samples}
         if args.samples:
+            recorded["jobs"] = args.jobs or 1
             sampled = hvmodels.leggett_expectations(
                 params,
                 method="monte-carlo",
                 n_samples=args.samples,
                 seed=args.seed,
-                shards=args.jobs,
+                shards=recorded["jobs"],
             )
             values["mean_a_mc"] = sampled.mean_a
             values["mean_b_mc"] = sampled.mean_b
@@ -227,16 +238,17 @@ def _scenario_leggett(args) -> ResultTable:
             values["stderr_ab"] = sampled.stderr_ab
         return _quantities(
             args,
-            {"u": args.u, "v": args.v, "a": args.a, "b": args.b, "samples": args.samples},
+            recorded,
             {"mean_*": "hvmodels.leggett_expectations", "stderr_*": "hvmodels.leggett_expectations"},
             values,
         )
 
-    phis_deg = _parse_scan(args.scan_phi, "--scan-phi")
+    scan_phi = DEFAULT_SCAN_PHI if args.scan_phi is None else args.scan_phi
+    phis_deg = _parse_scan(scan_phi, "--scan-phi")
     scan = inequalities.leggett_violation_scan(np.deg2rad(phis_deg))
     return _table(
         args,
-        {"scan_phi_deg": args.scan_phi},
+        {"scan_phi_deg": scan_phi},
         {
             "s_qm": "inequalities.leggett_quantum_value",
             "bound": "inequalities.leggett_bound",
@@ -406,13 +418,13 @@ SCENARIOS = {
         ("--gamma", dict(type=finite_float, default=22.5, help="partial-state angle in degrees")),
     ]),
     "leggett": Scenario("Leggett bound scan or model evaluation", _scenario_leggett, [
-        ("--scan-phi", dict(default="0:90:0.01", help="lo:hi:step phi scan in degrees")),
+        ("--scan-phi", dict(help=f"lo:hi:step phi scan in degrees (scan mode; default {DEFAULT_SCAN_PHI})")),
         ("--u", dict(help="initial polarization of A, e.g. 0,0,1 (model mode)")),
         ("--v", dict(help="initial polarization of B (model mode)")),
         ("--a", dict(help="analyzer setting of A (model mode)")),
         ("--b", dict(help="analyzer setting of B (model mode)")),
         ("--samples", dict(type=int, default=0, help="Monte Carlo samples (model mode; 0 = analytic only)")),
-        ("--jobs", dict(type=positive_int, default=1, help="number of RNG substreams for Monte Carlo sampling, "
+        ("--jobs", dict(type=positive_int, help="number of RNG substreams for Monte Carlo sampling (with --samples), "
                         "run on up to min(N, usable CPUs) threads (default 1); the sampled values depend on N, "
                         "not on the CPU count")),
     ]),

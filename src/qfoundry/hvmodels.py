@@ -29,22 +29,26 @@ The outcome rules :func:`poincare_outcome` and :func:`leggett_outcomes` take
 arrays of lambda and are the models' only definitions; the tests use the latter
 as the sampler's oracle, evaluated on the same lambda stream.
 Interval ties (lambda exactly at a threshold) resolve to the first listed
-case, i.e. toward +1; the tie set has measure zero under the uniform density.
+case, i.e. toward +1; the tie set has measure zero under the uniform density
+and probability at most 2^-32 per draw on the sampler's grid.
 
-The Monte Carlo path of :func:`leggett_expectations` draws lambda in fixed
-chunks of ``SAMPLE_CHUNK`` = 2^16 values (512 KB, sized to stay in the L2
-cache) into one reused buffer per shard.  Three comparisons into one reused
-boolean mask count lambda <= lambda_A, lambda < x1 and lambda <= x2; the +1
-counts of A, B and AB follow from these by exact interval algebra.  Memory
-stays under 1 MB per running shard for any sample count.  Chunked draws
-continue the same random stream and the counts are exact, so the results do
-not depend on the chunk size.  Shards draw on separate threads
+The Monte Carlo path of :func:`leggett_expectations` draws the hidden
+variable as lambda = k / 2^32 for a uniform 32-bit k, two per raw 64-bit
+word of the PCG64 bit generator, in fixed chunks of ``SAMPLE_CHUNK`` = 2^16
+values: 2^15 raw words (256 KB) and a reused 64 KB boolean mask.  The three
+thresholds become integer cut-offs on k, so three comparisons count
+lambda <= lambda_A, lambda < x1 and lambda <= x2 exactly; the +1 counts of
+A, B and AB follow from these by exact interval algebra.  A running shard
+holds one chunk, about 0.3 MB, for any sample count.  Chunked draws continue
+the same random stream and the counts are exact, so the results do not
+depend on the chunk size.  Shards draw on separate threads
 (:func:`parallel_map`) and their integer counts are summed, so the results
 do not depend on the thread count either.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -56,8 +60,11 @@ import numpy as np
 from .qcore import MeasurementSetting
 
 CONSISTENCY_ATOL = 1e-12
-# lambdas drawn and reduced at a time by the Monte Carlo sampler
+# lambdas drawn and reduced at a time by the Monte Carlo sampler; even, so
+# that every chunk but the last uses both halves of each raw word
 SAMPLE_CHUNK = 1 << 16
+# the sampler's lambda is k / 2^32 for a uniform 32-bit k
+_K_RANGE = 1 << 32
 
 # Table of all 2^3 deterministic single-photon assignments over the three
 # polarizer settings (0, +2pi/3, -2pi/3); +1 = pass, -1 = blocked.  Row
@@ -287,21 +294,46 @@ def parallel_map(fn: Callable, *iterables: Iterable) -> list:
     return results
 
 
+def _cutoffs(lambda_a: float, x1: float, x2: float) -> tuple[int, int, int]:
+    """Cut-offs c with k < c exactly when lambda = k / 2^32 is <= lambda_A, < x1 and <= x2.
+
+    t * 2^32 is exact in float64, so lambda <= t is k <= floor(t * 2^32) and
+    lambda < t is k < ceil(t * 2^32).  Each cut-off is clamped to [0, 2^32],
+    and 2^32 holds for every uint32 k.
+    """
+    cutoffs = (math.floor(lambda_a * _K_RANGE) + 1, math.ceil(x1 * _K_RANGE), math.floor(x2 * _K_RANGE) + 1)
+    return tuple(min(max(c, 0), _K_RANGE) for c in cutoffs)
+
+
+def _count_below(k: np.ndarray, cutoff: int, hits: np.ndarray) -> int:
+    """Number of entries of the uint32 array ``k`` below ``cutoff``, with ``hits`` as scratch."""
+    if cutoff == _K_RANGE:
+        return k.size
+    return int(np.count_nonzero(np.less(k, cutoff, out=hits)))
+
+
 def _shard_counts(
     rng: np.random.Generator, count: int, lambda_a: float, x1: float, x2: float
 ) -> tuple[int, int, int]:
-    """Counts of lambda <= lambda_A, lambda < x1 and lambda <= x2 over ``count`` draws."""
-    plus_a = below_x1 = upto_x2 = 0
-    buffer = np.empty(min(SAMPLE_CHUNK, count))
-    mask = np.empty(buffer.size, dtype=bool)
+    """Counts of lambda <= lambda_A, lambda < x1 and lambda <= x2 over ``count`` draws.
+
+    Each 32-bit half of a raw word gives one lambda = k / 2^32, so ``count``
+    draws use ceil(count / 2) words; an odd last chunk drops the high half of its last word.
+    """
+    cutoffs = _cutoffs(lambda_a, x1, x2)
+    totals = [0, 0, 0]
+    mask = np.empty(min(SAMPLE_CHUNK, count), dtype=bool)
     for start in range(0, count, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, count - start)
-        lam, hits = buffer[:size], mask[:size]
-        rng.random(out=lam)
-        plus_a += int(np.count_nonzero(np.less_equal(lam, lambda_a, out=hits)))
-        below_x1 += int(np.count_nonzero(np.less(lam, x1, out=hits)))
-        upto_x2 += int(np.count_nonzero(np.less_equal(lam, x2, out=hits)))
-    return plus_a, below_x1, upto_x2
+        words = rng.bit_generator.random_raw((size + 1) // 2)
+        if size % 2:
+            # copy the low half into the high half, so dropping either keeps the low half on any byte order
+            words[-1] = (words[-1] & 0xFFFF_FFFF) * 0x1_0000_0001
+        k, hits = words.view(np.uint32)[:size], mask[:size]
+        for i, cutoff in enumerate(cutoffs):
+            totals[i] += _count_below(k, cutoff, hits)
+        del words, k  # free this chunk's words before the next draw allocates
+    return tuple(totals)
 
 
 def leggett_expectations(
@@ -315,12 +347,12 @@ def leggett_expectations(
 
     ``method="analytic"`` integrates the piecewise-constant outcome rules
     exactly; the results equal u.a, v.b and -a.b.  ``method="monte-carlo"``
-    draws ``n_samples`` uniform lambdas (optionally split into ``shards``
-    substreams spawned from ``seed``) and reports sample means with
-    standard errors.  The substreams run on up to min(shards, usable CPUs)
-    threads (:func:`parallel_map`); each returns three integer counts and
-    the counts are summed, so the result depends on the seed and shard
-    count but never on the CPU count.
+    draws ``n_samples`` lambdas k / 2^32, two from each raw PCG64 word
+    (optionally split into ``shards`` substreams spawned from ``seed``), and
+    reports sample means with standard errors.  The substreams run on up to
+    min(shards, usable CPUs) threads (:func:`parallel_map`); each returns
+    three integer counts and the counts are summed, so the result depends
+    on the seed and shard count but never on the CPU count.
     """
     _require_consistent(params)
     lambda_a, x1, x2 = leggett_thresholds(params)

@@ -262,11 +262,17 @@ class TestErrorMessages:
 
     @pytest.mark.parametrize(
         "argv, flags",
-        [(["popper", "--extent", "50"], ["--extent", "--points"]), (["leggett", "--samples", "5"], ["--samples", "--u"])],
-        ids=["extent-without-points", "samples-without-model"],
+        [
+            (["popper", "--extent", "50"], ["--extent", "--points"]),
+            (["leggett", "--samples", "5"], ["--samples", "--u"]),
+            ([*MODEL, "--scan-phi", "0:10:1"], ["--scan-phi", "--u"]),
+            (["leggett", "--jobs", "3", "--scan-phi", "0:2:1"], ["--jobs", "--samples"]),
+            ([*MODEL, "--jobs", "3"], ["--jobs", "--samples"]),
+        ],
+        ids=["extent-without-points", "samples-without-model", "scan-phi-with-model", "jobs-with-scan", "jobs-without-samples"],
     )
     def test_a_flag_the_scenario_would_ignore_exits_2(self, argv, flags, capsys):
-        # these printed the automatic grid and the phi scan as if the flag were absent
+        # these printed the automatic grid, the phi scan or the model table as if the flag were absent
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
@@ -417,6 +423,16 @@ class TestJobs:
             cli.main(self.MODEL + ["--jobs", jobs])
         assert excinfo.value.code == 2
         assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, jobs", [([], 1), (["--jobs", "3"], 3)], ids=["default", "three"])
+    def test_jobs_is_recorded_with_the_samples(self, argv, jobs, capsys):
+        # the sampled values depend on the substream count, so the output names it
+        code, out, _ = run_cli(self.MODEL + argv, capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["params"]["jobs"] == jobs
+        code, out, _ = run_cli(self.MODEL[:-2], capsys)
+        assert code == 0
+        assert "jobs" not in json.loads(out)["meta"]["params"]
 
     def test_jobs_sets_substreams(self, capsys):
         _, one, _ = run_cli(self.MODEL + ["--jobs", "1"], capsys)

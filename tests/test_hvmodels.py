@@ -253,6 +253,13 @@ class TestLeggettExpectations:
         assert abs(a.mean_ab - analytic.mean_ab) < 5.0 * a.stderr_ab + 1e-12
 
 
+def drawn_lambdas(rng, count):
+    """The sampler's ``count`` hidden variables k / 2^32: both 32-bit halves of each raw word, low half first."""
+    words = rng.bit_generator.random_raw((count + 1) // 2)
+    k = np.stack([words & 0xFFFF_FFFF, words >> 32], axis=1).reshape(-1)[:count]
+    return k * 2.0**-32
+
+
 def float_reference_sampler(params, n_samples, seed, shards):
     """Sample means of the model's rule, ``hvmodels.leggett_outcomes``, on each shard's whole draw at once."""
     if shards == 1:
@@ -264,7 +271,7 @@ def float_reference_sampler(params, n_samples, seed, shards):
         counts = [base + (1 if i < extra else 0) for i in range(shards)]
     sum_a = sum_b = sum_ab = 0
     for rng, count in zip(generators, counts):
-        a_out, b_out = hvmodels.leggett_outcomes(params, rng.random(count))
+        a_out, b_out = hvmodels.leggett_outcomes(params, drawn_lambdas(rng, count))
         sum_a += int(a_out.sum())
         sum_b += int(b_out.sum())
         sum_ab += int((a_out * b_out).sum())
@@ -295,8 +302,8 @@ class TestChunkedSampler:
 
     def test_memory_bounded_by_one_chunk(self):
         # drawing 8 * 2^20 lambdas at once would take 64 MB for the draw alone;
-        # one chunk and its mask take 0.56 MB, and the peak measured 0.56 MB
-        # warm and 1.2 MB as the first draw of a fresh process
+        # one chunk's 2^15 raw words and its mask take 0.31 MB, and the peak
+        # measured 0.32 MB warm and 0.98 MB as the first draw of a fresh process
         params = in_plane_params(0.2, 1.0)
         tracemalloc.start()
         try:
@@ -364,15 +371,48 @@ class TestChunkedSampler:
 
     @pytest.mark.parametrize("at", ["lambda_A", "x1", "x2"])
     def test_a_threshold_on_a_drawn_lambda_is_inside_its_interval(self, monkeypatch, at):
-        # ties have measure zero, so put a threshold exactly on a value the stream draws
+        # a threshold on the 2^-32 grid ties with a draw: put it exactly on a
+        # value the stream draws, the high half of a full chunk's last word and
+        # the low half of an odd chunk's last word
         n_samples = self.CHUNK + 1
-        drawn = float(np.random.default_rng(19).random(n_samples)[self.CHUNK])
-        thresholds = {"lambda_A": (drawn, 0.2, 0.8), "x1": (0.5, drawn, 0.9), "x2": (0.5, 0.1, drawn)}[at]
-        monkeypatch.setattr(hvmodels, "leggett_thresholds", lambda params: thresholds)
+        lambdas = drawn_lambdas(np.random.default_rng(19), n_samples)
         params = in_plane_params(0.2, 1.0)
-        result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=19)
-        means, _ = float_reference_sampler(params, n_samples, 19, 1)
-        assert (result.mean_a, result.mean_b, result.mean_ab) == means
+        for drawn in (float(lambdas[self.CHUNK - 1]), float(lambdas[self.CHUNK])):
+            thresholds = {"lambda_A": (drawn, 0.2, 0.8), "x1": (0.5, drawn, 0.9), "x2": (0.5, 0.1, drawn)}[at]
+            monkeypatch.setattr(hvmodels, "leggett_thresholds", lambda params: thresholds)
+            result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=19)
+            means, _ = float_reference_sampler(params, n_samples, 19, 1)
+            assert (result.mean_a, result.mean_b, result.mean_ab) == means
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["below", "on", "above"]),
+        st.lists(st.integers(0, 2**32 - 1), max_size=40),
+        st.sampled_from([None, 0.0, 1.0, -1e-12, 1.0 + 1e-12]),
+    )
+    def test_integer_cutoffs_count_like_float_comparisons(self, k0, step, ks, fixed):
+        # thresholds on the grid and one float64 step either side, the ends of
+        # [0, 1], and the 1e-12 of slack consistency allows outside them
+        grid = k0 * 2.0**-32
+        neighbours = {"below": np.nextafter(grid, -1.0), "on": grid, "above": np.nextafter(grid, 2.0)}
+        t = neighbours[step] if fixed is None else fixed
+        near = (min(max(k0 + d, 0), 2**32 - 1) for d in (-1, 0, 1))
+        k = np.array(sorted({0, 2**32 - 1, *ks, *near}), dtype=np.uint32)
+        lam = k * 2.0**-32
+        hits = np.empty(k.size, dtype=bool)
+        plus_a, below_x1, upto_x2 = (hvmodels._count_below(k, c, hits) for c in hvmodels._cutoffs(t, t, t))
+        assert plus_a == upto_x2 == int(np.count_nonzero(lam <= t))
+        assert below_x1 == int(np.count_nonzero(lam < t))
+
+    @pytest.mark.parametrize("n_samples", [1, CHUNK - 1, 3 * CHUNK + 7])
+    def test_two_lambdas_per_raw_word(self, n_samples):
+        # the sampler uses ceil(n / 2) raw words and nothing else of the stream
+        rng = np.random.default_rng(29)
+        hvmodels._shard_counts(rng, n_samples, 0.5, 0.25, 0.75)
+        expected = np.random.default_rng(29)
+        expected.bit_generator.advance((n_samples + 1) // 2)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestParallelMap:
