@@ -26,8 +26,13 @@ from .report import ResultTable, render_table_csv, render_table_csv_sidecar, ren
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
-# the leggett phi scan when --scan-phi is not given, in degrees
-DEFAULT_SCAN_PHI = "0:90:0.01"
+# Defaults the scenarios apply themselves, so that a flag the chosen mode
+# would ignore can be refused.  Angles are in degrees.
+DEFAULT_SCAN_PHI = "0:90:0.01"  # the leggett phi scan
+DEFAULT_THETA_REL = 120.0  # polarization-qm without --scan-theta
+DEFAULT_GAMMA = 22.5  # the chsh partial state and hardy without --scan-gamma
+# the most points a lo:hi:step scan may have; 90 001 rows render about 10 MB of JSON
+MAX_SCAN_POINTS = 100_000
 
 
 def _default_seed() -> int:
@@ -53,9 +58,11 @@ def _parse_scan(spec: str, name: str) -> np.ndarray:
     if step <= 0.0 or hi < lo:
         raise ValueError(f"{name}: need lo <= hi and step > 0, got {spec!r}")
     # the epsilon absorbs rounding in (hi - lo) / step without ever adding a
-    # point past hi
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    # point past hi; the span is capped while still a float, as it may be inf
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_SCAN_POINTS:
+        raise ValueError(f"{name}: {spec!r} has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points")
+    return lo + step * np.arange(math.floor(span) + 1)
 
 
 def finite_float(text: str) -> float:
@@ -80,19 +87,34 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _parse_vector(spec: str, name: str) -> MeasurementSetting:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{name} must be three comma-separated components, got {spec!r}")
+def _parse_numbers(spec: str, name: str, count: int) -> list[float]:
+    """``count`` comma-separated finite numbers; a refusal quotes ``spec`` as given."""
     try:
-        return MeasurementSetting.normalized([float(p) for p in parts])
+        values = [finite_float(part) for part in spec.split(",")]
+    except argparse.ArgumentTypeError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"{name}: need {count} comma-separated finite numbers, got {spec!r}")
+    return values
+
+
+def _parse_vector(spec: str, name: str) -> MeasurementSetting:
+    components = _parse_numbers(spec, name, 3)
+    try:
+        return MeasurementSetting.normalized(components)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _points(scan: str | None, flag: str, single: float) -> np.ndarray:
-    """Angles in degrees: the ``flag`` lo:hi:step scan when given, else just ``single``."""
-    return np.array([single]) if scan is None else _parse_scan(scan, flag)
+def _points(scan: str | None, scan_flag: str, single: float | None, single_flag: str, default: float) -> np.ndarray:
+    """Angles in degrees: the ``scan_flag`` lo:hi:step scan when given, else ``single`` or ``default``."""
+    if scan is None:
+        return np.array([default if single is None else single])
+    if single is not None:
+        raise ValueError(
+            f"{scan_flag} sets the scan and cannot be combined with {single_flag}; got {single_flag} {single}"
+        )
+    return _parse_scan(scan, scan_flag)
 
 
 def _table(args, params: dict, provenance: dict, columns: list[str], rows, **extra) -> ResultTable:
@@ -118,10 +140,11 @@ def _scenario_lhv_table(args) -> ResultTable:
     if args.weights is None:
         table = hvmodels.LocalHVTable.uniform()
     else:
-        parts = args.weights.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"--weights needs 8 comma-separated values, got {len(parts)}")
-        table = hvmodels.LocalHVTable(np.array([float(p) for p in parts]))
+        weights = _parse_numbers(args.weights, "--weights", 8)
+        try:
+            table = hvmodels.LocalHVTable(np.array(weights))
+        except ValueError as exc:
+            raise ValueError(f"--weights: {exc}") from exc
     minimum = hvmodels.lhv_minimum_same_probability()
     rows = []
     for i, row in enumerate(hvmodels.LOCAL_HV_ROWS):
@@ -143,14 +166,15 @@ def _scenario_lhv_table(args) -> ResultTable:
 
 
 def _scenario_polarization(args) -> ResultTable:
+    thetas_deg = _points(args.scan_theta, "--scan-theta", args.theta_rel, "--theta-rel", DEFAULT_THETA_REL)
     rows = []
-    for theta_deg in _points(args.scan_theta, "--scan-theta", args.theta_rel):
-        theta = math.radians(float(theta_deg))
+    for theta_deg in thetas_deg.tolist():
+        theta = math.radians(theta_deg)
         p_same, p_both = inequalities.qm_same_polarization_probability(theta)
-        rows.append((float(theta_deg), p_same, p_both, math.cos(theta) ** 2))
+        rows.append((theta_deg, p_same, p_both, math.cos(theta) ** 2))
     return _table(
         args,
-        {"theta_rel_deg": None if args.scan_theta else args.theta_rel, "scan_theta": args.scan_theta},
+        {"theta_rel_deg": None if args.scan_theta else thetas_deg[0].item(), "scan_theta": args.scan_theta},
         {
             "p_same": "inequalities.qm_same_polarization_probability",
             "p_both_pass": "inequalities.qm_same_polarization_probability",
@@ -162,18 +186,23 @@ def _scenario_polarization(args) -> ResultTable:
     )
 
 
-def _chsh_state(args) -> qcore.StateVector:
-    if args.state == "singlet":
+def _chsh_state(state: str, gamma_deg: float | None) -> qcore.StateVector:
+    if state == "singlet":
         return qcore.singlet()
-    if args.state == "product":
+    if state == "product":
         return qcore.basis_state((2, 2), (0, 0))
-    gamma = math.radians(args.gamma)
+    gamma = math.radians(gamma_deg)
     amplitudes = np.array([0.0, math.cos(gamma), -math.sin(gamma), 0.0], dtype=complex)
     return qcore.StateVector((2, 2), amplitudes)
 
 
 def _scenario_chsh(args) -> ResultTable:
-    optimum = inequalities.chsh_optimize(_chsh_state(args))
+    gamma_deg = None
+    if args.state == "partial":
+        gamma_deg = DEFAULT_GAMMA if args.gamma is None else args.gamma
+    elif args.gamma is not None:
+        raise ValueError(f"--gamma sets the partial state's angle and needs --state partial; got --state {args.state}")
+    optimum = inequalities.chsh_optimize(_chsh_state(args.state, gamma_deg))
     values = {"s_max": optimum.s_max}
     for label, pair in (("a", optimum.settings_a), ("b", optimum.settings_b)):
         for k, setting in enumerate(pair):
@@ -183,7 +212,7 @@ def _scenario_chsh(args) -> ResultTable:
         values[f"c_{i}{j}"] = float(c)
     return _quantities(
         args,
-        {"state": args.state, "gamma_deg": args.gamma if args.state == "partial" else None},
+        {"state": args.state, "gamma_deg": gamma_deg},
         {
             "s_max": "inequalities.chsh_optimize",
             "setting components": "inequalities.chsh_optimize",
@@ -198,15 +227,13 @@ def _scenario_leggett(args) -> ResultTable:
     model_flags = [args.u, args.v, args.a, args.b]
     if args.samples < 0 or (args.samples and all(f is None for f in model_flags)):
         raise ValueError(f"--samples must be 0, or positive with --u, --v, --a and --b; got {args.samples}")
-    if args.jobs is not None and not args.samples:
-        raise ValueError(f"--jobs sets the Monte Carlo substreams and needs --samples; got --jobs {args.jobs}")
     if any(f is not None for f in model_flags):
         if any(f is None for f in model_flags):
             raise ValueError("model mode needs all of --u, --v, --a, --b")
         if args.scan_phi is not None:
             raise ValueError(
                 "--scan-phi sets the phi scan and cannot be combined with --u, --v, --a, --b; "
-                f"got --scan-phi {args.scan_phi}"
+                f"got --scan-phi {args.scan_phi!r}"
             )
         params = LeggettModelParams(
             _parse_vector(args.u, "--u"),
@@ -222,14 +249,7 @@ def _scenario_leggett(args) -> ResultTable:
         }
         recorded = {"u": args.u, "v": args.v, "a": args.a, "b": args.b, "samples": args.samples}
         if args.samples:
-            recorded["jobs"] = args.jobs or 1
-            sampled = hvmodels.leggett_expectations(
-                params,
-                method="monte-carlo",
-                n_samples=args.samples,
-                seed=args.seed,
-                shards=recorded["jobs"],
-            )
+            sampled = hvmodels.leggett_expectations(params, method="monte-carlo", n_samples=args.samples, seed=args.seed)
             values["mean_a_mc"] = sampled.mean_a
             values["mean_b_mc"] = sampled.mean_b
             values["mean_ab_mc"] = sampled.mean_ab
@@ -286,14 +306,15 @@ def _scenario_kcbs(args) -> ResultTable:
 
 
 def _scenario_hardy(args) -> ResultTable:
+    gammas_deg = _points(args.scan_gamma, "--scan-gamma", args.gamma, "--gamma", DEFAULT_GAMMA)
     rows = []
-    for gamma_deg in _points(args.scan_gamma, "--scan-gamma", args.gamma):
-        gamma = math.radians(float(gamma_deg))
+    for gamma_deg in gammas_deg.tolist():
+        gamma = math.radians(gamma_deg)
         probabilities = inequalities.hardy_probabilities(inequalities.HardyConfiguration(gamma))
-        rows.append((float(gamma_deg), *probabilities, inequalities.hardy_fourth_probability_closed_form(gamma)))
+        rows.append((gamma_deg, *probabilities, inequalities.hardy_fourth_probability_closed_form(gamma)))
     return _table(
         args,
-        {"gamma_deg": None if args.scan_gamma else args.gamma, "scan_gamma": args.scan_gamma},
+        {"gamma_deg": None if args.scan_gamma else gammas_deg[0].item(), "scan_gamma": args.scan_gamma},
         {
             "p1..p4": "inequalities.hardy_probabilities",
             "p4_closed_form": "inequalities.hardy_fourth_probability_closed_form",
@@ -304,12 +325,10 @@ def _scenario_hardy(args) -> ResultTable:
 
 
 def _scenario_hom(args) -> ResultTable:
-    if args.n_max < 2:
-        raise ValueError(f"--n-max must be at least 2 to hold the two photons of |1,1>, got {args.n_max}")
-    output = fock.hong_ou_mandel_output(n_max=args.n_max)
+    output = fock.hong_ou_mandel_output()
     return _table(
         args,
-        {"n_max": args.n_max},
+        {},
         {
             "amplitude": "fock.apply_rotation on |1,1> through the 45-degree PBS",
             "probability": "|amplitude|^2",
@@ -322,7 +341,7 @@ def _scenario_hom(args) -> ResultTable:
 
 
 def _scenario_noon(args) -> ResultTable:
-    state = fock.noon_state(args.n, max(args.n, fock.DEFAULT_N_MAX))
+    state = fock.noon_state(args.n)
     rows = [(f"|{n_a},{n_b}>", amplitude.real, amplitude.imag) for n_a, n_b, amplitude in state.occupied()]
     extra = {}
     if args.n == 1:
@@ -410,12 +429,12 @@ SCENARIOS = {
         ("--weights", dict(help="8 comma-separated row weights (default: uniform)")),
     ]),
     "polarization-qm": Scenario("quantum same-outcome probability", _scenario_polarization, [
-        ("--theta-rel", dict(type=finite_float, default=120.0, help="relative polarizer angle in degrees")),
+        ("--theta-rel", dict(type=finite_float, help=f"relative polarizer angle in degrees (default {DEFAULT_THETA_REL})")),
         ("--scan-theta", dict(help="lo:hi:step scan in degrees")),
     ]),
     "chsh": Scenario("CHSH optimization over settings", _scenario_chsh, [
         ("--state", dict(choices=("singlet", "product", "partial"), default="singlet")),
-        ("--gamma", dict(type=finite_float, default=22.5, help="partial-state angle in degrees")),
+        ("--gamma", dict(type=finite_float, help=f"partial-state angle in degrees (default {DEFAULT_GAMMA})")),
     ]),
     "leggett": Scenario("Leggett bound scan or model evaluation", _scenario_leggett, [
         ("--scan-phi", dict(help=f"lo:hi:step phi scan in degrees (scan mode; default {DEFAULT_SCAN_PHI})")),
@@ -424,18 +443,13 @@ SCENARIOS = {
         ("--a", dict(help="analyzer setting of A (model mode)")),
         ("--b", dict(help="analyzer setting of B (model mode)")),
         ("--samples", dict(type=int, default=0, help="Monte Carlo samples (model mode; 0 = analytic only)")),
-        ("--jobs", dict(type=positive_int, help="number of RNG substreams for Monte Carlo sampling (with --samples), "
-                        "run on up to min(N, usable CPUs) threads (default 1); the sampled values depend on N, "
-                        "not on the CPU count")),
     ]),
     "kcbs": Scenario("pentagram contextuality value", _scenario_kcbs, []),
     "hardy": Scenario("four-probability non-separability test", _scenario_hardy, [
-        ("--gamma", dict(type=finite_float, default=22.5, help="state angle in degrees")),
+        ("--gamma", dict(type=finite_float, help=f"state angle in degrees (default {DEFAULT_GAMMA})")),
         ("--scan-gamma", dict(help="lo:hi:step scan in degrees")),
     ]),
-    "hom": Scenario("two-photon interference at the 45-degree PBS", _scenario_hom, [
-        ("--n-max", dict(type=int, default=2, help=f"Fock truncation (at least 2, at most {fock.MAX_N_MAX})")),
-    ]),
+    "hom": Scenario("two-photon interference at the 45-degree PBS", _scenario_hom, []),
     "noon": Scenario("N00N state and the path-marker atoms", _scenario_noon, [
         ("--n", dict(type=positive_int, default=1, help=f"photon number N (at most {fock.MAX_N_MAX})")),
     ]),
@@ -511,6 +525,9 @@ def _run_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list):  # argparse in Python 3.11 parses --flag=-- as [], skipping type and choices
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         if args.seed is None:
             args.seed = _default_seed()

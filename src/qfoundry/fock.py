@@ -13,8 +13,8 @@ action.  The polarizing-beamsplitter convention at angle t is
     a+_H -> cos(t) a+_A + sin(t) a+_D,
     a+_V -> sin(t) a+_A - cos(t) a+_D,
 
-so at 45 degrees a+_H -> (a+_A + a+_D)/sqrt(2) and
-a+_V -> (a+_A - a+_D)/sqrt(2).  The matrix is symmetric orthogonal, hence
+so at 45 degrees, the balanced (50:50) splitter, a+_H -> (a+_A + a+_D)/sqrt(2)
+and a+_V -> (a+_A - a+_D)/sqrt(2).  The matrix is symmetric orthogonal, hence
 its own inverse: applying the same rotation twice returns the input.
 Output amplitude tables are always stated in the rotated (new) mode basis.
 """
@@ -147,14 +147,11 @@ def create(state: FockState, mode: str) -> FockState:
 
 @dataclass(frozen=True)
 class ModeRotation:
-    """Two-mode linear transform: 50:50 beamsplitter or PBS at an angle."""
+    """Two-mode linear transform: the PBS at an angle (45 degrees is the balanced splitter)."""
 
     angle: float = math.pi / 4.0
-    convention: str = "pbs"
 
     def __post_init__(self):
-        if self.convention not in ("pbs", "bs5050"):
-            raise ValueError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "angle", float(self.angle))
         m = self.matrix
         if np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-12:
@@ -163,7 +160,7 @@ class ModeRotation:
     @property
     def matrix(self) -> np.ndarray:
         """Rows map old-mode creation operators onto new-mode ones."""
-        if self.convention == "bs5050" or self.angle == math.pi / 4.0:
+        if self.angle == math.pi / 4.0:
             # libm puts cos(pi/4) and sin(pi/4) one ulp apart; the balanced
             # element uses the exact common value so the HOM null is exact
             c = s = math.sqrt(0.5)
@@ -209,9 +206,9 @@ def coincidence_probability(state: FockState) -> float:
     return float(abs(state.amplitudes[1, 1]) ** 2)
 
 
-def hong_ou_mandel_output(n_max: int = 2) -> FockState:
-    """|1,1> through the 45-degree PBS: (|2,0> - |0,2>)/sqrt(2)."""
-    return apply_rotation(fock_basis(n_max, 1, 1), ModeRotation(math.pi / 4.0, "pbs"))
+def hong_ou_mandel_output() -> FockState:
+    """|1,1> through the 45-degree PBS: (|2,0> - |0,2>)/sqrt(2), on the n_max = 2 table."""
+    return apply_rotation(fock_basis(2, 1, 1), ModeRotation(math.pi / 4.0))
 
 
 def photon_atoms_entangle(noon1: FockState) -> StateVector:

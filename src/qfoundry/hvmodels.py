@@ -41,9 +41,10 @@ lambda <= lambda_A, lambda < x1 and lambda <= x2 exactly; the +1 counts of
 A, B and AB follow from these by exact interval algebra.  A running shard
 holds one chunk, about 0.3 MB, for any sample count.  Chunked draws continue
 the same random stream and the counts are exact, so the results do not
-depend on the chunk size.  Shards draw on separate threads
-(:func:`parallel_map`) and their integer counts are summed, so the results
-do not depend on the thread count either.
+depend on the chunk size.  The sample count fixes the substreams (shards):
+one per ``SHARD_SAMPLES`` = 2^20 draws, at most ``MAX_SHARDS``.  Shards draw
+on separate threads (:func:`parallel_map`) and their integer counts are
+summed, so the results do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ CONSISTENCY_ATOL = 1e-12
 SAMPLE_CHUNK = 1 << 16
 # the sampler's lambda is k / 2^32 for a uniform 32-bit k
 _K_RANGE = 1 << 32
+# draws per default substream, and the most substreams a sample count derives
+SHARD_SAMPLES = 1 << 20
+MAX_SHARDS = 256
 
 # Table of all 2^3 deterministic single-photon assignments over the three
 # polarizer settings (0, +2pi/3, -2pi/3); +1 = pass, -1 = blocked.  Row
@@ -341,15 +345,17 @@ def leggett_expectations(
     method: str = "analytic",
     n_samples: int = 1_000_000,
     seed: int = 0,
-    shards: int = 1,
+    shards: int | None = None,
 ) -> LeggettExpectations:
     """Means of A, B and AB over the uniform hidden variable.
 
     ``method="analytic"`` integrates the piecewise-constant outcome rules
     exactly; the results equal u.a, v.b and -a.b.  ``method="monte-carlo"``
-    draws ``n_samples`` lambdas k / 2^32, two from each raw PCG64 word
-    (optionally split into ``shards`` substreams spawned from ``seed``), and
-    reports sample means with standard errors.  The substreams run on up to
+    draws ``n_samples`` lambdas k / 2^32, two from each raw PCG64 word, split
+    into ``shards`` substreams spawned from ``seed`` (one substream uses the
+    seed's own stream), and reports sample means with standard errors.
+    ``shards=None`` takes min(ceil(n_samples / SHARD_SAMPLES), MAX_SHARDS),
+    so 10^6 samples draw one substream.  The substreams run on up to
     min(shards, usable CPUs) threads (:func:`parallel_map`); each returns
     three integer counts and the counts are summed, so the result depends
     on the seed and shard count but never on the CPU count.
@@ -369,6 +375,8 @@ def leggett_expectations(
         raise ValueError(f"unknown method {method!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    if shards is None:
+        shards = min(-(-n_samples // SHARD_SAMPLES), MAX_SHARDS)
     if shards < 1:
         raise ValueError("shards must be positive")
 

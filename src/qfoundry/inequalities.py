@@ -158,21 +158,23 @@ def chsh_optimize(state: StateVector) -> ChshOptimum:
     return ChshOptimum(chsh_value(record), settings_a, settings_b, record)
 
 
-def chsh_planar_grid_value(state: StateVector, step_deg: float = 1.0) -> float:
+def chsh_planar_grid_value(state: StateVector) -> float:
     """Independent grid-search oracle for the CHSH maximum.
 
-    Scans Alice's two planar angles on a dense grid and maximizes over
+    Scans Alice's two planar angles on a 1-degree grid and maximizes over
     Bob's settings exactly: for fixed a0, a1 the optimum is
     |T^t (a0 + a1)| + |T^t (a0 - a1)|.  Shares no code path with
     :func:`chsh_optimize` beyond the correlation matrix itself.
     """
     t, u, _, _ = _chsh_planar_frames(state)
-    angles = np.deg2rad(np.arange(0.0, 360.0, float(step_deg)))
+    angles = np.deg2rad(np.arange(360.0))
     vecs = np.outer(np.cos(angles), u[:, 0]) + np.outer(np.sin(angles), u[:, 1])
     ta = vecs @ t  # row p: T^t a(alpha_p)
-    sums = np.linalg.norm(ta[:, None, :] + ta[None, :, :], axis=2)
-    diffs = np.linalg.norm(ta[:, None, :] - ta[None, :, :], axis=2)
-    return float(np.max(sums + diffs))
+    # |ta_p +- ta_q|^2 for all pairs, summed one component at a time: the same
+    # sums as a norm over a (360, 360, 3) array, in a quarter of the time
+    sums = sum(np.square(column[:, None] + column) for column in ta.T)
+    diffs = sum(np.square(column[:, None] - column) for column in ta.T)
+    return float(np.max(np.sqrt(sums) + np.sqrt(diffs)))
 
 
 # slack for degree-to-radian rounding at the interval endpoints

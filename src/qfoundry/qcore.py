@@ -67,10 +67,6 @@ class StateVector:
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
 
-    @property
-    def subsystem_count(self) -> int:
-        return len(self.dims)
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 

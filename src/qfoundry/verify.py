@@ -381,7 +381,7 @@ def check_tlm(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_hom(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 10: the 45-degree PBS maps |1,1> to (|2,0> - |0,2>)/sqrt(2)."""
-    output = fock.hong_ou_mandel_output(n_max=2)
+    output = fock.hong_ou_mandel_output()
     r = 1.0 / math.sqrt(2.0)
     err_20 = abs(output.amplitude(2, 0) - r)
     err_02 = abs(output.amplitude(0, 2) + r)

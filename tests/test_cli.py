@@ -1,5 +1,8 @@
 """CLI surface: scenario tables, formats, seeds, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -10,9 +13,14 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfoundry import cli, fock, hvmodels, inequalities, popper, qcore
 from qfoundry.report import format_number, render_json
+
+# leggett model mode; add --samples N to sample
+MODEL = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0"]
 
 
 def run_cli(args, capsys):
@@ -223,29 +231,40 @@ class TestErrorMessages:
         assert value in err
         assert "np." not in err
 
-    @pytest.mark.parametrize("argv", [["noon", "--n", "1025"], ["hom", "--n-max", "1025"]], ids=["noon", "hom"])
+    @pytest.mark.parametrize("argv", [["noon", "--n", "1025"]], ids=["noon"])
     def test_fock_truncation_above_the_cap_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert f"MAX_N_MAX = {fock.MAX_N_MAX}" in err
 
-
-    MODEL = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0"]
-
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["hom", "--n-max", "1"], "--n-max"),
-            (["hom", "--n-max=-1"], "--n-max"),
             (["noon", "--n", "0"], "--n:"),
             ([*MODEL, "--samples=-5"], "--samples"),
             (["leggett", "--samples=-5"], "--samples"),
             (["popper", "--points", "2"], "--points"),
             (["popper", "--points=-1"], "--points"),
             (["popper", "--points", "64", "--extent=-1"], "--extent"),
+            # these two ended in numpy's _ArrayMemoryError and an OverflowError traceback, exit 1
+            (["leggett", "--scan-phi", "0:1e12:1"], "--scan-phi: '0:1e12:1' has more than MAX_SCAN_POINTS = 100000"),
+            (["hardy", "--scan-gamma", "0:1e300:1e-300"], "--scan-gamma: '0:1e300:1e-300' has more than MAX_SCAN"),
+            (["polarization-qm", "--scan-theta=-1.7e308:1.7e308:1"], "--scan-theta: '-1.7e308:1.7e308:1' has more"),
+            (["leggett", "--scan-phi", "0:100000:1"], "--scan-phi: '0:100000:1' has more than MAX_SCAN_POINTS"),
         ],
-        ids=["hom", "hom-negative", "noon", "samples-model", "samples-scan", "points", "points-negative", "extent"],
+        ids=[
+            "noon",
+            "samples-model",
+            "samples-scan",
+            "points",
+            "points-negative",
+            "extent",
+            "scan-memory-error",
+            "scan-overflow-error",
+            "scan-span-overflows",
+            "scan-cap-plus-one",
+        ],
     )
     def test_out_of_range_values_name_their_flag(self, argv, flag, capsys):
         try:
@@ -266,13 +285,24 @@ class TestErrorMessages:
             (["popper", "--extent", "50"], ["--extent", "--points"]),
             (["leggett", "--samples", "5"], ["--samples", "--u"]),
             ([*MODEL, "--scan-phi", "0:10:1"], ["--scan-phi", "--u"]),
-            (["leggett", "--jobs", "3", "--scan-phi", "0:2:1"], ["--jobs", "--samples"]),
-            ([*MODEL, "--jobs", "3"], ["--jobs", "--samples"]),
+            (["chsh", "--gamma", "10"], ["--gamma", "--state partial"]),
+            (["chsh", "--state", "product", "--gamma", "10"], ["--gamma", "--state partial"]),
+            (["hardy", "--gamma", "10", "--scan-gamma", "0:45:15"], ["--gamma", "--scan-gamma"]),
+            (["polarization-qm", "--theta-rel", "30", "--scan-theta", "0:90:45"], ["--theta-rel", "--scan-theta"]),
         ],
-        ids=["extent-without-points", "samples-without-model", "scan-phi-with-model", "jobs-with-scan", "jobs-without-samples"],
+        ids=[
+            "extent-without-points",
+            "samples-without-model",
+            "scan-phi-with-model",
+            "gamma-with-singlet",
+            "gamma-with-product",
+            "gamma-with-scan",
+            "theta-rel-with-scan",
+        ],
     )
     def test_a_flag_the_scenario_would_ignore_exits_2(self, argv, flags, capsys):
-        # these printed the automatic grid, the phi scan or the model table as if the flag were absent
+        # these printed the automatic grid, the phi scan, the model table, the
+        # chsh optimum or the scan as if the flag were absent
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
@@ -320,6 +350,11 @@ class TestScanSpec:
         assert code == 2
         assert "finite" in err
 
+    def test_scan_at_the_cap_is_accepted(self):
+        points = cli._parse_scan(f"0:{cli.MAX_SCAN_POINTS - 1}:1", "--scan-phi")
+        assert len(points) == cli.MAX_SCAN_POINTS
+        assert points[-1] == cli.MAX_SCAN_POINTS - 1
+
     def test_values_starting_with_a_dash_need_the_equals_form(self, capsys):
         code, out, _ = run_cli(["polarization-qm", "--scan-theta=-90:90:30"], capsys)
         assert code == 0
@@ -358,9 +393,8 @@ class TestNonFiniteInput:
         [
             (["popper", "--width", "abc"], "--width: must be a finite number, got 'abc'"),
             (["noon", "--n", "abc"], "--n: must be an integer of at least 1, got 'abc'"),
-            (["leggett", "--jobs", "abc"], "--jobs: must be an integer of at least 1, got 'abc'"),
         ],
-        ids=["popper", "noon", "leggett"],
+        ids=["popper", "noon"],
     )
     def test_non_numeric_flag_exits_2_stating_the_rule(self, argv, rule, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -374,7 +408,8 @@ class TestNonFiniteInput:
         code, out, err = run_cli(["lhv-table", "--weights", "nan,0,0,0,0,0,0,1"], capsys)
         assert code == 2
         assert out == ""
-        assert "non-finite weights" in err
+        assert err.startswith("error: --weights: ")
+        assert "finite" in err
 
     def test_non_finite_vector_exits_2_naming_flag(self, capsys):
         code, out, err = run_cli(["leggett", "--u", "nan,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0"], capsys)
@@ -390,7 +425,7 @@ class TestNonFiniteInput:
 
 
 class TestFlags:
-    COMMON = ("--output", "--seed", "--format", "--jobs")
+    COMMON = {"--output", "--seed", "--format"}
 
     def flags(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -399,47 +434,55 @@ class TestFlags:
         return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
 
     @pytest.mark.parametrize("command", list(cli.SCENARIOS))
-    def test_jobs_is_a_leggett_flag(self, command, capsys):
-        expected = {"--output", "--seed", "--format"} | ({"--jobs"} if command == "leggett" else set())
-        assert self.flags(command, capsys) & set(self.COMMON) == expected
+    def test_every_scenario_takes_the_common_flags(self, command, capsys):
+        flags = self.flags(command, capsys)
+        assert self.COMMON <= flags
+        assert not flags & {"--jobs", "--n-max"}
+
+    def test_scenario_flag_count(self):
+        # the values of --jobs and --n-max are derived: the sample count fixes the
+        # Monte Carlo substreams, and every truncation from 2 up gives the same HOM rows
+        assert sum(len(scenario.flags) for scenario in cli.SCENARIOS.values()) == 25
 
     def test_verify_takes_only_seed_and_output(self, capsys):
         assert self.flags("verify", capsys) == {"--help", "--output", "--seed"}
 
-    @pytest.mark.parametrize("argv", [["kcbs", "--jobs", "2"], ["verify", "--format", "csv"]], ids=["kcbs", "verify"])
-    def test_removed_flags_exit_2(self, argv, capsys):
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [
+            (["kcbs", "--jobs", "2"], "--jobs 2"),
+            (["verify", "--format", "csv"], "--format csv"),
+            ([*MODEL, "--samples", "1000", "--jobs", "3"], "--jobs 3"),
+            (["hom", "--n-max", "2"], "--n-max 2"),
+        ],
+        ids=["kcbs", "verify", "leggett-jobs", "hom-n-max"],
+    )
+    def test_removed_flags_exit_2(self, argv, unrecognized, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
 
 
-class TestJobs:
-    MODEL = ["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "1000"]
+class TestSubstreams:
+    SAMPLED = [*MODEL, "--samples", "3000001"]
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, jobs, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(self.MODEL + ["--jobs", jobs])
-        assert excinfo.value.code == 2
-        assert "--jobs: must be at least 1" in capsys.readouterr().err
+    def test_any_pool_size_gives_the_same_bytes(self, monkeypatch, capsys):
+        # 3 000 001 samples derive three substreams, whatever the thread count
+        outputs = set()
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(hvmodels, "pool_size", lambda tasks, workers=workers: min(tasks, workers))
+            code, out, _ = run_cli(self.SAMPLED, capsys)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
 
-    @pytest.mark.parametrize("argv, jobs", [([], 1), (["--jobs", "3"], 3)], ids=["default", "three"])
-    def test_jobs_is_recorded_with_the_samples(self, argv, jobs, capsys):
-        # the sampled values depend on the substream count, so the output names it
-        code, out, _ = run_cli(self.MODEL + argv, capsys)
+    def test_params_record_only_the_inputs(self, capsys):
+        code, out, _ = run_cli(self.SAMPLED, capsys)
         assert code == 0
-        assert json.loads(out)["meta"]["params"]["jobs"] == jobs
-        code, out, _ = run_cli(self.MODEL[:-2], capsys)
-        assert code == 0
-        assert "jobs" not in json.loads(out)["meta"]["params"]
-
-    def test_jobs_sets_substreams(self, capsys):
-        _, one, _ = run_cli(self.MODEL + ["--jobs", "1"], capsys)
-        _, three, _ = run_cli(self.MODEL + ["--jobs", "3"], capsys)
-        _, three_again, _ = run_cli(self.MODEL + ["--jobs", "3"], capsys)
-        assert three == three_again
-        assert table_value(json.loads(one), "mean_a_mc") != table_value(json.loads(three), "mean_a_mc")
+        assert json.loads(out)["meta"]["params"] == {
+            "u": "0,0,1", "v": "0,0,1", "a": "1,0,0", "b": "0,1,0", "samples": 3000001,
+        }
 
 
 class TestProvenance:
@@ -448,7 +491,7 @@ class TestProvenance:
     MODULES = {"qcore": qcore, "hvmodels": hvmodels, "inequalities": inequalities, "fock": fock, "popper": popper}
 
     @pytest.mark.parametrize(
-        "argv", [*([name] for name in cli.SCENARIOS), TestJobs.MODEL], ids=[*cli.SCENARIOS, "leggett-model"]
+        "argv", [*([name] for name in cli.SCENARIOS), [*MODEL, "--samples", "1000"]], ids=[*cli.SCENARIOS, "leggett-model"]
     )
     def test_provenance_names_existing_code(self, argv, capsys):
         code, out, _ = run_cli(argv, capsys)
@@ -544,3 +587,84 @@ def test_start_up_does_not_load_the_thread_pool():
     )
     result = run_fresh_interpreter("-c", script)
     assert json.loads(result.stdout) == {"code": 0, "loaded": False}
+
+
+# CLI fuzz: every scenario flag of cli.SCENARIOS plus --format, with finite,
+# extreme, non-finite, empty and malformed values
+MALFORMED = ["", " ", "abc", "1,2", "0x10", "1e", "--", "1:2", "None"]
+NUMBERS = ["0", "-0", "1", "-1", "0.5", "22.5", "45", "90", "120", "-90", "1e-320", "1e300", "-1e300", "1.7976931348623157e308"]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "1e400", "-1e400"]
+# small values, and the first value past each cap; --samples has no cap, so
+# its large value is the first count that derives two substreams
+COUNTS = {
+    "--samples": [-1, 0, 1, 2, 3, 1000, hvmodels.SHARD_SAMPLES + 1],
+    "--points": [-1, 0, 2, 4, 5, 64, popper.MAX_GRID_POINTS + 1],
+    "--n": [-1, 0, 1, 2, 3, 10, fock.MAX_N_MAX + 1],
+}
+# the ends and steps draw scans of at most 13 points, or far more than the cap
+SCAN_ENDS = ["-90", "0", "10", "90", "-1e300", "1e300", "1.7976931348623157e308", "nan", "inf", "", "abc"]
+SCAN_STEPS = ["0", "-1", "1e-300", "15", "30", "45", "1e300", "inf"]
+VECTORS = ["0,0,1", "1,0,0", "0,1,0", "-1,0,0", "0,-1,0", "1,1,0", "0,0,0", "nan,0,1", "inf,0,0", "1,0", "1,0,0,0",
+           "1e308,1e308,0", "1e-320,0,0", "1e-170,1e-170,0"]
+WEIGHTS = ["0.125," * 7 + "0.125", "1,0,0,0,0,0,0,0", "0.5,0.5,0,0,0,0,0,0", "-0.5,1.5,0,0,0,0,0,0",
+           "nan,0,0,0,0,0,0,1", "inf,0,0,0,0,0,0,0", "1e-320,1,0,0,0,0,0,0", "1,1,1,1,1,1,1,1", "1,2"]
+
+
+def flag_values(flag, options):
+    junk = st.sampled_from(MALFORMED + NON_FINITE)
+    if "choices" in options:
+        return st.sampled_from(options["choices"]) | junk
+    if options.get("type") is cli.finite_float:
+        return st.sampled_from(NUMBERS) | st.floats().map(repr) | junk
+    if options.get("type") in (int, cli.positive_int):
+        return st.sampled_from(COUNTS[flag]).map(str) | junk
+    if flag.startswith("--scan-"):
+        scans = st.tuples(st.sampled_from(SCAN_ENDS), st.sampled_from(SCAN_ENDS), st.sampled_from(SCAN_STEPS))
+        return scans.map(":".join) | junk
+    if flag == "--weights":
+        return st.sampled_from(WEIGHTS) | junk
+    if flag in ("--u", "--v", "--a", "--b"):
+        return st.sampled_from(VECTORS) | junk
+    raise AssertionError(f"no fuzz values for {flag}")
+
+
+@st.composite
+def scenario_argv(draw):
+    command = draw(st.sampled_from(sorted(cli.SCENARIOS)))
+    options = {**dict(cli.SCENARIOS[command].flags), "--format": dict(choices=("json", "csv"))}
+    flags = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    return [command] + [f"{flag}={draw(flag_values(flag, options[flag]))}" for flag in flags]
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_every_flag_has_fuzz_values():
+    for scenario in cli.SCENARIOS.values():
+        for flag, options in scenario.flags:
+            flag_values(flag, options)
+
+
+@settings(max_examples=300)
+@given(scenario_argv())
+def test_fuzzed_argv_gives_parseable_output_or_a_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    if code == 0:
+        if "--format=csv" in argv:
+            assert len({len(row) for row in csv.reader(io.StringIO(out))}) == 1
+            json.loads(err, parse_constant=refuse_constant)
+        else:
+            json.loads(out, parse_constant=refuse_constant)
+    else:
+        assert out == "" and err
+    # a message may quote the argument it refuses ('nan'); nothing else may show a non-finite number
+    unquoted = re.sub(r"'[^']*'", "''", out + err)
+    assert not re.search(r"\b(nan|inf|infinity)\b|np\.", unquoted, re.IGNORECASE), unquoted[-500:]

@@ -78,26 +78,22 @@ class TestCreate:
 class TestModeRotation:
     def test_matrix_unitary_for_any_angle(self):
         for angle in np.linspace(0.0, np.pi, 17):
-            m = ModeRotation(angle, "pbs").matrix
+            m = ModeRotation(angle).matrix
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
 
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            ModeRotation(0.1, "dichroic")
-
     def test_pbs_45_on_two_photons_gives_2002_state(self):
-        output = apply_rotation(fock_basis(2, 1, 1), ModeRotation(math.pi / 4.0, "pbs"))
+        output = apply_rotation(fock_basis(2, 1, 1), ModeRotation(math.pi / 4.0))
         assert abs(output.amplitude(2, 0) - 1.0 / SQRT2) < 1e-12
         assert abs(output.amplitude(0, 2) + 1.0 / SQRT2) < 1e-12
         assert abs(output.amplitude(1, 1)) < 1e-12
 
     def test_balanced_splitter_on_single_photon(self):
-        output = apply_rotation(fock_basis(2, 1, 0), ModeRotation(convention="bs5050"))
+        output = apply_rotation(fock_basis(2, 1, 0), ModeRotation())
         assert abs(output.amplitude(1, 0) - 1.0 / SQRT2) < 1e-12
         assert abs(output.amplitude(0, 1) - 1.0 / SQRT2) < 1e-12
 
     def test_vacuum_is_invariant(self):
-        output = apply_rotation(vacuum(3), ModeRotation(0.7, "pbs"))
+        output = apply_rotation(vacuum(3), ModeRotation(0.7))
         assert output.amplitude(0, 0) == 1.0
         assert abs(output.norm - 1.0) < 1e-15
 
@@ -105,7 +101,7 @@ class TestModeRotation:
         rng = np.random.default_rng(81)
         for _ in range(20):
             state = random_fock(rng, n_max=6)
-            rot = ModeRotation(rng.uniform(0.0, np.pi), "pbs")
+            rot = ModeRotation(rng.uniform(0.0, np.pi))
             rotated = apply_rotation(state, rot)
             assert abs(rotated.norm - 1.0) < 1e-12
             np.testing.assert_allclose(
@@ -118,7 +114,7 @@ class TestModeRotation:
         rng = np.random.default_rng(83)
         for angle in (0.3, math.pi / 4.0, 1.2):
             state = random_fock(rng, n_max=5)
-            rot = ModeRotation(angle, "pbs")
+            rot = ModeRotation(angle)
             round_trip = apply_rotation(apply_rotation(state, rot), rot)
             assert np.max(np.abs(round_trip.amplitudes - state.amplitudes)) < 1e-12
 

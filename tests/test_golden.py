@@ -40,7 +40,7 @@ SCENARIO_EXAMPLES = {
     "scenario_noon.json": ["noon"],
     "scenario_tlm.json": ["tlm"],
     "scenario_leggett_sharded.json": [
-        "leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "3000001", "--jobs", "3",
+        "leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "3000001",
     ],
 }
 

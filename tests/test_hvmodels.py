@@ -307,7 +307,7 @@ class TestChunkedSampler:
         params = in_plane_params(0.2, 1.0)
         tracemalloc.start()
         try:
-            leggett_expectations(params, method="monte-carlo", n_samples=8 * 2**20, seed=3)
+            leggett_expectations(params, method="monte-carlo", n_samples=8 * 2**20, seed=3, shards=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -413,6 +413,35 @@ class TestChunkedSampler:
         expected = np.random.default_rng(29)
         expected.bit_generator.advance((n_samples + 1) // 2)
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+class TestDerivedShards:
+    @pytest.mark.parametrize("n_samples", [2**20, 2**20 + 1, 3_000_001])
+    def test_sample_count_fixes_the_substreams(self, n_samples):
+        # one substream per SHARD_SAMPLES = 2^20 draws: 1, 2 and 3 of them here
+        params = in_plane_params(0.2, 1.0)
+        derived = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=31)
+        shards = -(-n_samples // 2**20)
+        explicit = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=31, shards=shards)
+        assert derived == explicit
+
+    def test_substream_count_is_capped(self, monkeypatch):
+        # with one substream per sample, 300 samples would spawn 300 generators
+        monkeypatch.setattr(hvmodels, "SHARD_SAMPLES", 1)
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks: min(tasks, 2))
+        spawned = []
+        parallel_map = hvmodels.parallel_map
+
+        def recording_map(fn, generators, counts):
+            spawned.append(len(generators))
+            return parallel_map(fn, generators, counts)
+
+        monkeypatch.setattr(hvmodels, "parallel_map", recording_map)
+        params = in_plane_params(0.2, 1.0)
+        derived = leggett_expectations(params, method="monte-carlo", n_samples=300, seed=31)
+        explicit = leggett_expectations(params, method="monte-carlo", n_samples=300, seed=31, shards=hvmodels.MAX_SHARDS)
+        assert spawned == [hvmodels.MAX_SHARDS, hvmodels.MAX_SHARDS]
+        assert derived == explicit
 
 
 class TestParallelMap:

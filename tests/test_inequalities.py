@@ -138,7 +138,7 @@ class TestChsh:
     def test_partially_entangled_state_cross_checked_against_grid_oracle(self):
         state = partially_entangled(np.pi / 8.0)
         optimum = chsh_optimize(state)
-        oracle = chsh_planar_grid_value(state, step_deg=1.0)
+        oracle = chsh_planar_grid_value(state)
         # the 1-degree grid undershoots the true optimum by O(step^2)
         assert optimum.s_max >= oracle - 1e-9
         assert abs(optimum.s_max - oracle) < 5e-3
@@ -183,7 +183,7 @@ class TestChshProperties:
         s = np.linalg.svd(ineq.correlation_matrix(state), compute_uv=False)
         assert abs(optimum.s_max - 2.0 * math.hypot(s[0], s[1])) <= 1e-12
         assert optimum.s_max <= 2.0 * SQRT2 + 1e-12
-        assert optimum.s_max >= chsh_planar_grid_value(state, 5.0) - 1e-12
+        assert optimum.s_max >= chsh_planar_grid_value(state) - 1e-12
         for setting in optimum.settings_a + optimum.settings_b:
             assert abs(np.linalg.norm(setting.direction) - 1.0) <= 1e-12
         assert abs(optimum.settings_a[0].dot(optimum.settings_a[1])) <= 1e-12
