@@ -20,7 +20,6 @@ from .qcore import (
     StateVector,
     expectation,
     fidelity,
-    measure_probability,
     partial_trace,
     singlet,
     spin_observable,
@@ -38,7 +37,6 @@ __all__ = [
     "fock",
     "hvmodels",
     "inequalities",
-    "measure_probability",
     "partial_trace",
     "popper",
     "qcore",

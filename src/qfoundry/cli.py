@@ -5,7 +5,7 @@ result table records the seed, grid parameters and toolkit version, plus a
 provenance map naming the module operation behind each column.  Exit codes:
 0 success, 2 parameter/validation error, 3 model inconsistency (the
 crypto-nonlocal construction has no valid intervals for the requested
-settings).  The seed default comes from QFOUNDRY_SEED when set.
+settings).  The seed, an integer >= 0, defaults to QFOUNDRY_SEED when set.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ DEFAULT_THETA_REL = 120.0  # polarization-qm without --scan-theta
 DEFAULT_GAMMA = 22.5  # the chsh partial state and hardy without --scan-gamma
 # the most points a lo:hi:step scan may have; 90 001 rows render about 10 MB of JSON
 MAX_SCAN_POINTS = 100_000
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("QFOUNDRY_SEED")
-    if raw is None:
-        return verify.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QFOUNDRY_SEED must be an integer, got {raw!r}") from exc
 
 
 def _parse_scan(spec: str, name: str) -> np.ndarray:
@@ -76,15 +66,34 @@ def finite_float(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``, refused with a message stating that rule."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1  # not an integer at all: refused below with the same rule
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+# argparse types: the photon number of noon --n, and the RNG seed of --seed and QFOUNDRY_SEED
+positive_int = _int_at_least(1)
+seed_int = _int_at_least(0)
+
+
+def _default_seed() -> int:
+    raw = os.environ.get("QFOUNDRY_SEED")
+    if raw is None:
+        return verify.DEFAULT_SEED
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        return seed_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"QFOUNDRY_SEED {exc}") from None
 
 
 def _parse_numbers(spec: str, name: str, count: int) -> list[float]:
@@ -167,11 +176,8 @@ def _scenario_lhv_table(args) -> ResultTable:
 
 def _scenario_polarization(args) -> ResultTable:
     thetas_deg = _points(args.scan_theta, "--scan-theta", args.theta_rel, "--theta-rel", DEFAULT_THETA_REL)
-    rows = []
-    for theta_deg in thetas_deg.tolist():
-        theta = math.radians(theta_deg)
-        p_same, p_both = inequalities.qm_same_polarization_probability(theta)
-        rows.append((theta_deg, p_same, p_both, math.cos(theta) ** 2))
+    p_same, p_both = inequalities.qm_same_polarization_probability(np.deg2rad(thetas_deg))
+    cos2_theta = [math.cos(math.radians(theta_deg)) ** 2 for theta_deg in thetas_deg.tolist()]
     return _table(
         args,
         {"theta_rel_deg": None if args.scan_theta else thetas_deg[0].item(), "scan_theta": args.scan_theta},
@@ -181,7 +187,7 @@ def _scenario_polarization(args) -> ResultTable:
             "cos2_theta": "analytic cross-check cos^2(theta)",
         },
         ["theta_rel_deg", "p_same", "p_both_pass", "cos2_theta"],
-        rows,
+        zip(thetas_deg.tolist(), p_same.tolist(), p_both.tolist(), cos2_theta),
         lhv_bound=1.0 / 3.0,
     )
 
@@ -307,11 +313,10 @@ def _scenario_kcbs(args) -> ResultTable:
 
 def _scenario_hardy(args) -> ResultTable:
     gammas_deg = _points(args.scan_gamma, "--scan-gamma", args.gamma, "--gamma", DEFAULT_GAMMA)
-    rows = []
-    for gamma_deg in gammas_deg.tolist():
-        gamma = math.radians(gamma_deg)
-        probabilities = inequalities.hardy_probabilities(inequalities.HardyConfiguration(gamma))
-        rows.append((gamma_deg, *probabilities, inequalities.hardy_fourth_probability_closed_form(gamma)))
+    probabilities = inequalities.hardy_probabilities(np.deg2rad(gammas_deg))
+    closed_form = [
+        inequalities.hardy_fourth_probability_closed_form(math.radians(gamma_deg)) for gamma_deg in gammas_deg.tolist()
+    ]
     return _table(
         args,
         {"gamma_deg": None if args.scan_gamma else gammas_deg[0].item(), "scan_gamma": args.scan_gamma},
@@ -320,7 +325,7 @@ def _scenario_hardy(args) -> ResultTable:
             "p4_closed_form": "inequalities.hardy_fourth_probability_closed_form",
         },
         ["gamma_deg", "p1", "p2", "p3", "p4", "p4_closed_form"],
-        rows,
+        zip(gammas_deg.tolist(), *(p.tolist() for p in probabilities), closed_form),
     )
 
 
@@ -482,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="result file path (default: stdout; verify: qfoundry_verify.json)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default: QFOUNDRY_SEED or 2026)")
+    common.add_argument(
+        "--seed", type=seed_int, default=None, help="RNG seed, an integer >= 0 (default: QFOUNDRY_SEED or 2026)"
+    )
     for name, scenario in SCENARIOS.items():
         sub = subparsers.add_parser(name, parents=[common], help=scenario.help)
         sub.add_argument("--format", choices=("json", "csv"), default="json")

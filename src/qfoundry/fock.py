@@ -154,7 +154,7 @@ class ModeRotation:
     def __post_init__(self):
         object.__setattr__(self, "angle", float(self.angle))
         m = self.matrix
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-12:
+        if not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-12:
             raise ValueError("mode transform is not unitary within 1e-12")
 
     @property

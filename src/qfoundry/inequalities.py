@@ -8,11 +8,14 @@ quantum-realizability condition for 2x2 correlator tables, and the
 four-probability non-separability argument for a two-degree-of-freedom
 single-particle state.
 
-Every quantum number produced here goes through the Born rule / expectation
-machinery in :mod:`qfoundry.qcore`; closed forms appear only as the bounds
-themselves, as documented cross-checks, or to choose the CHSH-optimal
-settings, which follow exactly from the singular values of the correlation
-matrix.  No code path here loads scipy.
+Every quantum number produced here goes through the Born rule in
+:mod:`qfoundry.qcore`: the polarization and four-probability joint
+probabilities through :func:`qcore.product_probability`, one array call for
+a whole scan of angles, and correlators through :func:`qcore.expectation`.
+Closed forms appear only as the bounds themselves, as documented
+cross-checks, or to choose the CHSH-optimal settings, which follow exactly
+from the singular values of the correlation matrix.  No code path here
+loads scipy.
 """
 
 from __future__ import annotations
@@ -77,26 +80,21 @@ def correlated_photon_pair() -> StateVector:
     return StateVector((2, 2), amplitudes)
 
 
-def _linear_polarizer_ket(angle: float) -> np.ndarray:
-    return np.array([np.cos(angle), np.sin(angle)], dtype=complex)
-
-
-def qm_same_polarization_probability(theta_rel: float) -> tuple[float, float]:
-    """Born-rule outcome statistics for the correlated pair at relative angle.
+def qm_same_polarization_probability(theta_rel):
+    """Born-rule outcome statistics for the correlated pair at relative angle, elementwise.
 
     Polarizer 1 sits at 0, polarizer 2 at ``theta_rel`` (physical polarizer
-    angle, radians).  Returns ``(p_same, p_both_pass)`` where p_same counts
-    both-pass plus both-blocked.  Computed from joint projectors on the
-    4-dimensional state, not from a formula shortcut; analytically
-    p_same = cos^2(theta) and p_both_pass = cos^2(theta)/2.
+    angle, radians; a float or an array).  Returns ``(p_same, p_both_pass)``
+    where p_same counts both-pass plus both-blocked, each the product
+    projector onto the two pass kets or the two perpendicular block kets;
+    analytically p_same = cos^2(theta) and p_both_pass = cos^2(theta)/2.
     """
-    state = correlated_photon_pair()
-    pass_1 = qcore.projector_onto(_linear_polarizer_ket(0.0)).matrix
-    pass_2 = qcore.projector_onto(_linear_polarizer_ket(float(theta_rel))).matrix
-    block_1 = np.eye(2, dtype=complex) - pass_1
-    block_2 = np.eye(2, dtype=complex) - pass_2
-    p_both_pass = qcore.measure_probability(state, Observable(np.kron(pass_1, pass_2), "pass,pass"))
-    p_both_block = qcore.measure_probability(state, Observable(np.kron(block_1, block_2), "block,block"))
+    theta = np.asarray(theta_rel, dtype=float)
+    pair = correlated_photon_pair().amplitudes.reshape(2, 2)
+    pass_2 = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    block_2 = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    p_both_pass = qcore.product_probability(pair, [1.0, 0.0], pass_2)
+    p_both_block = qcore.product_probability(pair, [0.0, 1.0], block_2)
     return p_both_pass + p_both_block, p_both_pass
 
 
@@ -178,28 +176,28 @@ def chsh_planar_grid_value(state: StateVector) -> float:
 
 
 # slack for degree-to-radian rounding at the interval endpoints
-_PHI_DOMAIN_ATOL = 1e-9
+_DOMAIN_ATOL = 1e-9
 
 
-def _phi_in_domain(phi) -> np.ndarray:
-    """``phi`` as a float array, refused unless it is non-empty and lies in [0, pi]."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.size == 0:
-        raise ValueError("phi is empty")
-    lo, hi = phi.min(), phi.max()
-    if not (-_PHI_DOMAIN_ATOL <= lo and hi <= np.pi + _PHI_DOMAIN_ATOL):
-        raise ValueError(f"phi in [{float(lo)!r}, {float(hi)!r}] outside [0, pi]")
-    return phi
+def _in_domain(values, name: str, upper: float, upper_text: str) -> np.ndarray:
+    """``values`` as a float array, refused unless it is non-empty and lies in [0, upper]."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"{name} is empty")
+    lo, hi = values.min(), values.max()
+    if not (-_DOMAIN_ATOL <= lo and hi <= upper + _DOMAIN_ATOL):
+        raise ValueError(f"{name} in [{float(lo)!r}, {float(hi)!r}] outside [0, {upper_text}]")
+    return values
 
 
 def leggett_bound(phi: float | np.ndarray) -> float | np.ndarray:
     """Crypto-nonlocal upper bound 4 - (4/pi)|sin(phi/2)| for phi in [0, pi], elementwise."""
-    return 4.0 - (4.0 / np.pi) * np.abs(np.sin(_phi_in_domain(phi) / 2.0))
+    return 4.0 - (4.0 / np.pi) * np.abs(np.sin(_in_domain(phi, "phi", np.pi, "pi") / 2.0))
 
 
 def leggett_quantum_value(phi: float | np.ndarray) -> float | np.ndarray:
     """Quantum value |2(cos(phi) + 1)| of the same two-term combination, elementwise."""
-    return np.abs(2.0 * (np.cos(_phi_in_domain(phi)) + 1.0))
+    return np.abs(2.0 * (np.cos(_in_domain(phi, "phi", np.pi, "pi")) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -245,17 +243,17 @@ class KcbsConfiguration:
         if d.shape != (5, 3):
             raise ValueError(f"expected five 3-vectors, got shape {d.shape}")
         norms = np.linalg.norm(d, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("projection directions must be unit vectors")
         for j in range(5):
             dot = float(d[j] @ d[(j + 1) % 5])
-            if abs(dot) > 1e-10:
+            if not abs(dot) <= 1e-10:
                 raise ValueError(
                     f"adjacent directions {j} and {(j + 1) % 5} are not orthogonal "
                     f"(dot = {dot!r}); the measurements are incompatible"
                 )
         psi = np.asarray(self.state_direction, dtype=float).reshape(-1)
-        if psi.size != 3 or abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+        if psi.size != 3 or not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:
             raise ValueError("state direction must be a unit 3-vector")
         d.setflags(write=False)
         psi.setflags(write=False)
@@ -317,74 +315,27 @@ def kcbs_classical_minimum() -> int:
     return int(kcbs_classical_assignment_values().min())
 
 
-@dataclass(frozen=True)
-class HardyConfiguration:
-    """Measurement kets for the four-probability non-separability test.
+def _hardy_kets(s, c):
+    """One party's kets (|+>, |->, |->') of the non-separability test, shape (..., 2).
 
-    The probe state is cos(g)|0>|1> - sin(g)|1>|0>.  The first factor uses
-    the kets
+    With s = sin(g) and c = cos(g) they are
 
-        |+>  = N (sqrt(sin g)|0> + sqrt(cos g)|1>)
-        |->  = N (-sqrt(cos g)|0> + sqrt(sin g)|1>)
-        |+>' = N' (sqrt(cos^3 g)|0> + sqrt(sin^3 g)|1>)
-        |->' = N' (-sqrt(sin^3 g)|0> + sqrt(cos^3 g)|1>)
+        |+>  = N (sqrt(s)|0> + sqrt(c)|1>)
+        |->  = N (-sqrt(c)|0> + sqrt(s)|1>)
+        |->' = N' (-sqrt(s^3)|0> + sqrt(c^3)|1>)
 
-    with N = (sin g + cos g)^(-1/2), N' = (sin^3 g + cos^3 g)^(-1/2).  The
-    second factor uses the same construction with sin g and cos g
-    interchanged, which is what the asymmetry of the probe state requires
-    for the three zero-probability conditions to hold.
+    with N = (s + c)^(-1/2) and N' = (s^3 + c^3)^(-1/2); |+>' is the ket
+    orthogonal to |->'.  The second party takes s and c interchanged, which
+    the asymmetry of the probe state needs for the three zero-probability
+    conditions to hold.
     """
-
-    gamma: float
-
-    def __post_init__(self):
-        g = float(self.gamma)
-        if not 0.0 <= g <= np.pi / 2.0:
-            raise ValueError(f"gamma = {g!r} outside [0, pi/2]")
-        object.__setattr__(self, "gamma", g)
-
-    @property
-    def separable(self) -> bool:
-        """True at the degenerate endpoints where the probe state factorizes."""
-        return self.gamma == 0.0 or self.gamma == np.pi / 2.0
-
-    @property
-    def normalizer(self) -> float:
-        g = self.gamma
-        return (math.sin(g) + math.cos(g)) ** -0.5
-
-    @property
-    def normalizer_prime(self) -> float:
-        g = self.gamma
-        return (math.sin(g) ** 3 + math.cos(g) ** 3) ** -0.5
-
-    def _kets(self, swap: bool):
-        g = self.gamma
-        s, c = math.sin(g), math.cos(g)
-        if swap:
-            s, c = c, s
-        n = self.normalizer
-        npr = self.normalizer_prime
-        plus = n * np.array([math.sqrt(s), math.sqrt(c)])
-        minus = n * np.array([-math.sqrt(c), math.sqrt(s)])
-        plus_prime = npr * np.array([math.sqrt(c**3), math.sqrt(s**3)])
-        minus_prime = npr * np.array([-math.sqrt(s**3), math.sqrt(c**3)])
-        return plus, minus, plus_prime, minus_prime
-
-    @property
-    def alice_kets(self):
-        """(|+>, |->, |+>', |->') on the first factor."""
-        return self._kets(swap=False)
-
-    @property
-    def bob_kets(self):
-        """(|+>, |->, |+>', |->') on the second factor (sin/cos swapped)."""
-        return self._kets(swap=True)
-
-    def state(self) -> StateVector:
-        g = self.gamma
-        amplitudes = np.array([0.0, math.cos(g), -math.sin(g), 0.0], dtype=complex)
-        return StateVector((2, 2), amplitudes)
+    # products and square roots only: numpy's vector pow can round differently from its scalar one
+    s3, c3 = s * s * s, c * c * c
+    n, n_prime = 1.0 / np.sqrt(s + c), 1.0 / np.sqrt(s3 + c3)
+    plus = np.stack([n * np.sqrt(s), n * np.sqrt(c)], axis=-1)
+    minus = np.stack([-n * np.sqrt(c), n * np.sqrt(s)], axis=-1)
+    minus_prime = np.stack([-n_prime * np.sqrt(s3), n_prime * np.sqrt(c3)], axis=-1)
+    return plus, minus, minus_prime
 
 
 def hardy_fourth_probability_closed_form(gamma: float) -> float:
@@ -393,28 +344,31 @@ def hardy_fourth_probability_closed_form(gamma: float) -> float:
     return (math.sin(4.0 * g) / (4.0 * (math.cos(g) ** 3 + math.sin(g) ** 3))) ** 2
 
 
-def hardy_probabilities(config: HardyConfiguration) -> tuple[float, float, float, float]:
-    """The four joint probabilities of the non-separability argument.
+def hardy_probabilities(gamma):
+    """The four joint probabilities of the non-separability argument, elementwise.
 
-    Returns (p1, p2, p3, p4) for the events (alpha=+1, beta=+1),
-    (alpha=-1, beta'=-1), (alpha'=-1, beta=-1) and (alpha'=-1, beta'=-1);
-    each observable is the Hermitian difference of the projectors onto its
-    plus and minus kets.  For non-degenerate gamma the first three vanish
-    while p4 follows :func:`hardy_fourth_probability_closed_form`.
+    ``gamma`` (radians in [0, pi/2], a float or an array) sets the probe
+    state cos(g)|0>|1> - sin(g)|1>|0>.  Returns (p1, p2, p3, p4) for the
+    events (alpha=+1, beta=+1), (alpha=-1, beta'=-1), (alpha'=-1, beta=-1)
+    and (alpha'=-1, beta'=-1), each the product projector onto the two
+    parties' kets from :func:`_hardy_kets`.  For non-degenerate gamma the
+    first three vanish while p4 follows
+    :func:`hardy_fourth_probability_closed_form`; at the separable
+    endpoints 0 and pi/2 all four vanish.
     """
-    state = config.state()
-    a_plus, a_minus, a_plus_prime, a_minus_prime = config.alice_kets
-    b_plus, b_minus, b_plus_prime, b_minus_prime = config.bob_kets
-
-    def joint(ket_a: np.ndarray, ket_b: np.ndarray, label: str) -> float:
-        proj = np.kron(qcore.projector_onto(ket_a).matrix, qcore.projector_onto(ket_b).matrix)
-        return qcore.measure_probability(state, Observable(proj, label))
-
-    p1 = joint(a_plus, b_plus, "alpha=+1, beta=+1")
-    p2 = joint(a_minus, b_minus_prime, "alpha=-1, beta'=-1")
-    p3 = joint(a_minus_prime, b_minus, "alpha'=-1, beta=-1")
-    p4 = joint(a_minus_prime, b_minus_prime, "alpha'=-1, beta'=-1")
-    return p1, p2, p3, p4
+    # a gamma within the rounding slack past an endpoint is taken at it, where the kets' square roots are real
+    g = np.clip(_in_domain(gamma, "gamma", np.pi / 2.0, "pi/2"), 0.0, np.pi / 2.0)
+    s, c = np.sin(g), np.cos(g)
+    zero = np.zeros_like(g)
+    state = np.stack([zero, c, -s, zero], axis=-1).reshape(*g.shape, 2, 2)
+    a_plus, a_minus, a_minus_prime = _hardy_kets(s, c)
+    b_plus, b_minus, b_minus_prime = _hardy_kets(c, s)
+    return (
+        qcore.product_probability(state, a_plus, b_plus),
+        qcore.product_probability(state, a_minus, b_minus_prime),
+        qcore.product_probability(state, a_minus_prime, b_minus),
+        qcore.product_probability(state, a_minus_prime, b_minus_prime),
+    )
 
 
 def hardy_classical_fourth_zero() -> bool:

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import functools
+import inspect
 import io
 import json
 import math
@@ -164,6 +166,31 @@ class TestDeterminism:
         code, out, _ = run_cli(["kcbs"], capsys)
         assert code == 0
         assert json.loads(out)["meta"]["seed"] == 424242
+
+    @pytest.mark.parametrize("value", ["-1", "1e3", "abc", "", "2.5"])
+    def test_seed_environment_variable_must_be_a_non_negative_integer(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("QFOUNDRY_SEED", value)
+        code, out, err = run_cli(["kcbs"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: QFOUNDRY_SEED must be an integer of at least 0, got {value!r}\n"
+
+    def test_seed_flag_overrides_the_environment_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("QFOUNDRY_SEED", "5")
+        code, out, _ = run_cli(["kcbs", "--seed", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["seed"] == 0
+
+    @pytest.mark.parametrize("command", ["verify", "kcbs", "leggett"])
+    @pytest.mark.parametrize("value", ["-1", "1e3", "abc"])
+    def test_seed_flag_must_be_a_non_negative_integer(self, command, value, capsys):
+        # verify --seed -1 ran and failed criteria 4 and 6; kcbs --seed -1 exited 0 recording seed -1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, f"--seed={value}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: must be an integer of at least 0, got {value!r}" in captured.err
 
     def test_numbers_rendered_with_17_significant_digits(self, capsys):
         code, out, _ = run_cli(["kcbs"], capsys)
@@ -486,21 +513,68 @@ class TestSubstreams:
 
 
 class TestProvenance:
-    """Every ``module.name`` a provenance entry cites exists in that module."""
+    """Every ``module.name`` a provenance entry cites exists in that module, and a cited function runs."""
 
     MODULES = {"qcore": qcore, "hvmodels": hvmodels, "inequalities": inequalities, "fock": fock, "popper": popper}
-
-    @pytest.mark.parametrize(
+    # each scenario's default, and leggett model mode
+    RUNS = pytest.mark.parametrize(
         "argv", [*([name] for name in cli.SCENARIOS), [*MODEL, "--samples", "1000"]], ids=[*cli.SCENARIOS, "leggett-model"]
     )
-    def test_provenance_names_existing_code(self, argv, capsys):
+
+    def cited(self, argv, capsys):
+        """(module, name) of every library name the provenance of ``qfoundry argv`` cites."""
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         provenance = json.loads(out)["meta"]["provenance"]
         cited = re.findall(rf"\b({'|'.join(self.MODULES)})\.(\w+)", " ".join(provenance.values()))
         assert cited, provenance
-        for module, name in cited:
+        return cited
+
+    @RUNS
+    def test_provenance_names_existing_code(self, argv, capsys):
+        for module, name in self.cited(argv, capsys):
             assert hasattr(self.MODULES[module], name), f"{module}.{name}"
+
+    @pytest.fixture
+    def called(self, monkeypatch):
+        """The ``module.function`` names of the library functions called while the test runs.
+
+        Each public function of the five library modules is wrapped, and every
+        qfoundry module attribute bound to it is rebound to the wrapper, as the
+        benchmark tracer's ``install()`` does.
+        """
+        names = set()
+
+        def recorder(name, fn):
+            @functools.wraps(fn)
+            def record(*args, **kwargs):
+                names.add(name)
+                return fn(*args, **kwargs)
+
+            return record
+
+        wrappers = {}
+        for layer, module in self.MODULES.items():
+            for name, value in vars(module).items():
+                if not name.startswith("_") and inspect.isfunction(value) and value.__module__ == module.__name__:
+                    wrappers[id(value)] = (value, recorder(f"{layer}.{name}", value))
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "qfoundry" or module_name.startswith("qfoundry."):
+                for name, value in list(vars(module).items()):
+                    original, wrapper = wrappers.get(id(value), (None, None))
+                    if original is value:
+                        monkeypatch.setattr(module, name, wrapper)
+        return names
+
+    @RUNS
+    def test_every_cited_function_is_called(self, argv, called, capsys):
+        functions = {
+            f"{module}.{name}"
+            for module, name in self.cited(argv, capsys)
+            if inspect.isfunction(getattr(self.MODULES[module], name))  # a class or a constant is not a call
+        }
+        assert functions
+        assert functions <= called, sorted(functions - called)
 
 
 def run_fresh_interpreter(*args):
@@ -589,7 +663,7 @@ def test_start_up_does_not_load_the_thread_pool():
     assert json.loads(result.stdout) == {"code": 0, "loaded": False}
 
 
-# CLI fuzz: every scenario flag of cli.SCENARIOS plus --format, with finite,
+# CLI fuzz: every scenario flag of cli.SCENARIOS plus --format and --seed, with finite,
 # extreme, non-finite, empty and malformed values
 MALFORMED = ["", " ", "abc", "1,2", "0x10", "1e", "--", "1:2", "None"]
 NUMBERS = ["0", "-0", "1", "-1", "0.5", "22.5", "45", "90", "120", "-90", "1e-320", "1e300", "-1e300", "1.7976931348623157e308"]
@@ -600,6 +674,7 @@ COUNTS = {
     "--samples": [-1, 0, 1, 2, 3, 1000, hvmodels.SHARD_SAMPLES + 1],
     "--points": [-1, 0, 2, 4, 5, 64, popper.MAX_GRID_POINTS + 1],
     "--n": [-1, 0, 1, 2, 3, 10, fock.MAX_N_MAX + 1],
+    "--seed": [-1, 0, 1, 17, 2026, 2**32 - 1, 2**32, 2**64, 10**30],
 }
 # the ends and steps draw scans of at most 13 points, or far more than the cap
 SCAN_ENDS = ["-90", "0", "10", "90", "-1e300", "1e300", "1.7976931348623157e308", "nan", "inf", "", "abc"]
@@ -616,7 +691,7 @@ def flag_values(flag, options):
         return st.sampled_from(options["choices"]) | junk
     if options.get("type") is cli.finite_float:
         return st.sampled_from(NUMBERS) | st.floats().map(repr) | junk
-    if options.get("type") in (int, cli.positive_int):
+    if options.get("type") in (int, cli.positive_int, cli.seed_int):
         return st.sampled_from(COUNTS[flag]).map(str) | junk
     if flag.startswith("--scan-"):
         scans = st.tuples(st.sampled_from(SCAN_ENDS), st.sampled_from(SCAN_ENDS), st.sampled_from(SCAN_STEPS))
@@ -631,7 +706,11 @@ def flag_values(flag, options):
 @st.composite
 def scenario_argv(draw):
     command = draw(st.sampled_from(sorted(cli.SCENARIOS)))
-    options = {**dict(cli.SCENARIOS[command].flags), "--format": dict(choices=("json", "csv"))}
+    options = {
+        **dict(cli.SCENARIOS[command].flags),
+        "--format": dict(choices=("json", "csv")),
+        "--seed": dict(type=cli.seed_int),
+    }
     flags = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
     return [command] + [f"{flag}={draw(flag_values(flag, options[flag]))}" for flag in flags]
 

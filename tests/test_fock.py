@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import apply_unitary
 
 from qfoundry import qcore
 from qfoundry.fock import (
@@ -164,8 +165,8 @@ class TestBasisRelabelingDemo:
         # the operator rewrite produces the 2002 state
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
         labeled = qcore.basis_state((2, 2), (0, 1))  # |H>_1 |V>_2
-        relabeled = qcore.apply_unitary(
-            qcore.apply_unitary(labeled, hadamard, 0), hadamard, 1
+        relabeled = apply_unitary(
+            apply_unitary(labeled, hadamard, 0), hadamard, 1
         )
         naive = fock_from_labeled_pair(relabeled)
         physical = hong_ou_mandel_output()

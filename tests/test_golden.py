@@ -1,8 +1,10 @@
 """Golden fixtures: the verify reports and CLI scenario outputs, byte for byte.
 
 A change that moves any of these bytes rewrites the fixture in the same
-commit (``PYTHONPATH=src python tests/test_golden.py`` regenerates them all)
-and argues for the change in CHANGES.md.
+commit and argues for the change in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py`` regenerates them: it rewrites
+only the fixtures whose bytes changed (or that do not exist yet) and prints
+their names, so the fixtures that moved are the ones listed.
 """
 
 import contextlib
@@ -35,6 +37,7 @@ README_EXAMPLES = {
 SCENARIO_EXAMPLES = {
     "scenario_lhv_table.json": ["lhv-table"],
     "scenario_polarization_scan.json": ["polarization-qm", "--scan-theta", "0:90:15"],
+    "scenario_hardy_scan.json": ["hardy", "--scan-gamma", "0:90:15"],
     "scenario_chsh_singlet.json": ["chsh"],
     "scenario_hom.json": ["hom"],
     "scenario_noon.json": ["noon"],
@@ -94,4 +97,8 @@ def test_every_readme_example_is_pinned():
 if __name__ == "__main__":
     os.environ.pop("QFOUNDRY_SEED", None)
     for name, produce in FIXTURES.items():
-        (GOLDEN / name).write_bytes(produce().encode("utf-8"))
+        data = produce().encode("utf-8")
+        path = GOLDEN / name
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            print(name)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import hardy_probabilities_oracle, polarization_oracle, random_state
 
 from qfoundry import inequalities as ineq
 from qfoundry import qcore, verify
 from qfoundry.inequalities import (
     CorrelationRecord,
-    HardyConfiguration,
     KcbsConfiguration,
     chsh_optimize,
     chsh_planar_grid_value,
@@ -41,6 +41,9 @@ def partially_entangled(gamma):
     return StateVector((2, 2), amplitudes)
 
 
+GRID_0_90_001 = np.deg2rad(np.arange(9001) * 0.01)  # the 0:90:0.01 scan grid, radians
+
+
 class TestPolarizationProbability:
     def test_parallel_polarizers(self):
         p_same, p_both = qm_same_polarization_probability(0.0)
@@ -67,6 +70,16 @@ class TestPolarizationProbability:
             p_same, p_both = qm_same_polarization_probability(theta)
             assert abs(p_same - np.cos(theta) ** 2) < 1e-12
             assert abs(p_both - 0.5 * np.cos(theta) ** 2) < 1e-12
+
+    def test_matches_the_per_point_oracle_on_the_full_scan_grid(self):
+        batch = np.array(qm_same_polarization_probability(GRID_0_90_001))
+        oracle = np.array([polarization_oracle(theta) for theta in GRID_0_90_001.tolist()]).T
+        assert batch.shape == oracle.shape == (2, 9001)
+        np.testing.assert_allclose(batch, oracle, rtol=0.0, atol=1e-15)
+
+    def test_non_finite_angle_raises(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            qm_same_polarization_probability(np.array([0.5, math.nan]))
 
 
 class TestChsh:
@@ -105,7 +118,7 @@ class TestChsh:
     def test_optimizer_needs_no_numerical_search(self, monkeypatch):
         # the optimum is closed form: the scipy wrapper must never be reached
         rng = np.random.default_rng(5)
-        states = [qcore.singlet(), partially_entangled(np.pi / 8.0), qcore.random_state((2, 2), rng)]
+        states = [qcore.singlet(), partially_entangled(np.pi / 8.0), random_state((2, 2), rng)]
         expected = [chsh_optimize(state).s_max for state in states]
 
         def refuse(*args, **kwargs):
@@ -149,7 +162,7 @@ class TestChsh:
         rng = np.random.default_rng(61)
         worst = 0.0
         for _ in range(200):
-            state = qcore.random_state((2, 2), rng)
+            state = random_state((2, 2), rng)
             settings_a = [MeasurementSetting.random(rng) for _ in range(2)]
             settings_b = [MeasurementSetting.random(rng) for _ in range(2)]
             c = np.array(
@@ -330,48 +343,72 @@ class TestKcbs:
 
 class TestHardy:
     def test_ket_normalizers(self):
-        config = HardyConfiguration(0.4)
+        # N = (s + c)^(-1/2) and N' = (s^3 + c^3)^(-1/2); the second party swaps s and c
         g = 0.4
-        assert abs(config.normalizer - (math.sin(g) + math.cos(g)) ** -0.5) < 1e-15
-        assert abs(config.normalizer_prime - (math.sin(g) ** 3 + math.cos(g) ** 3) ** -0.5) < 1e-15
+        for s, c in ((math.sin(g), math.cos(g)), (math.cos(g), math.sin(g))):
+            plus, minus, minus_prime = ineq._hardy_kets(np.array(s), np.array(c))
+            n, n_prime = (s + c) ** -0.5, (s**3 + c**3) ** -0.5
+            np.testing.assert_allclose(plus, n * np.array([math.sqrt(s), math.sqrt(c)]), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(minus, n * np.array([-math.sqrt(c), math.sqrt(s)]), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(minus_prime, n_prime * np.array([-s**1.5, c**1.5]), rtol=0.0, atol=1e-15)
 
     def test_kets_orthonormal(self):
-        for gamma in np.linspace(0.05, np.pi / 2.0 - 0.05, 9):
-            config = HardyConfiguration(gamma)
-            for kets in (config.alice_kets, config.bob_kets):
-                plus, minus, plus_prime, minus_prime = kets
-                assert abs(plus @ minus) < 1e-12
-                assert abs(plus_prime @ minus_prime) < 1e-12
-                for ket in kets:
-                    assert abs(ket @ ket - 1.0) < 1e-12
+        gamma = np.linspace(0.05, np.pi / 2.0 - 0.05, 9)
+        s, c = np.sin(gamma), np.cos(gamma)
+        for kets in (ineq._hardy_kets(s, c), ineq._hardy_kets(c, s)):
+            plus, minus, _ = kets
+            assert np.max(np.abs(np.sum(plus * minus, axis=-1))) < 1e-12
+            for ket in kets:
+                assert np.max(np.abs(np.sum(ket * ket, axis=-1) - 1.0)) < 1e-12
 
     def test_zero_conditions_and_closed_form_on_grid(self):
-        for gamma in np.linspace(0.02, np.pi / 2.0 - 0.02, 50):
-            p1, p2, p3, p4 = hardy_probabilities(HardyConfiguration(gamma))
-            assert max(p1, p2, p3) < 1e-12
-            assert abs(p4 - hardy_fourth_probability_closed_form(gamma)) < 1e-10
+        gamma = np.linspace(0.02, np.pi / 2.0 - 0.02, 50)
+        p1, p2, p3, p4 = hardy_probabilities(gamma)
+        assert max(np.max(p1), np.max(p2), np.max(p3)) < 1e-12
+        for g, p in zip(gamma.tolist(), p4.tolist()):
+            assert abs(p - hardy_fourth_probability_closed_form(g)) < 1e-10
+
+    def test_matches_the_per_point_oracle_on_the_full_scan_grid(self):
+        batch = np.array(hardy_probabilities(GRID_0_90_001))
+        oracle = np.array([hardy_probabilities_oracle(g) for g in GRID_0_90_001.tolist()]).T
+        assert batch.shape == oracle.shape == (4, 9001)
+        np.testing.assert_allclose(batch, oracle, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("evaluate", [hardy_probabilities, qm_same_polarization_probability])
+    def test_a_float_gives_the_bytes_of_the_whole_scan(self, evaluate):
+        # the scan and a single --gamma or --theta-rel print the same digits for the same angle
+        grid = GRID_0_90_001
+        batch = evaluate(grid)
+        for k in range(0, grid.size, 50):
+            single = evaluate(float(grid[k]))
+            assert all(np.ndim(p) == 0 for p in single)
+            assert [float(p) for p in single] == [float(p[k]) for p in batch]
 
     def test_maximally_entangled_case_has_no_violation(self):
-        _, _, _, p4 = hardy_probabilities(HardyConfiguration(np.pi / 4.0))
+        _, _, _, p4 = hardy_probabilities(np.pi / 4.0)
         assert p4 < 1e-12
 
     def test_reference_angle(self):
-        _, _, _, p4 = hardy_probabilities(HardyConfiguration(math.radians(22.5)))
+        _, _, _, p4 = hardy_probabilities(math.radians(22.5))
         # frozen from the projector-based oracle: sin(90 deg) = 1 and
         # 4 (cos^3 + sin^3)(22.5 deg) = 3.37885...
         assert abs(p4 - 0.08761006569007043) < 1e-10
         assert abs(p4 - 0.0876) < 1e-4
 
     def test_degenerate_endpoints_flagged(self):
-        assert HardyConfiguration(0.0).separable
-        assert HardyConfiguration(np.pi / 2.0).separable
-        assert not HardyConfiguration(0.3).separable
-        _, _, _, p4 = hardy_probabilities(HardyConfiguration(0.0))
-        assert p4 < 1e-12
-        with pytest.raises(ValueError):
-            HardyConfiguration(-0.1)
-        with pytest.raises(ValueError):
-            HardyConfiguration(np.pi / 2.0 + 0.1)
+        # the probe state factorizes at 0 and pi/2, so all four probabilities vanish
+        for gamma in (0.0, np.pi / 2.0):
+            assert max(hardy_probabilities(gamma)) < 1e-30
+        assert hardy_probabilities(0.3)[3] > 0.01
+
+    @pytest.mark.parametrize("gamma", [-0.1, np.pi / 2.0 + 0.1, math.nan, math.inf, [0.3, math.nan], []])
+    def test_gamma_outside_the_domain_raises(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            hardy_probabilities(gamma)
+
+    def test_gamma_in_the_rounding_slack_is_taken_at_the_endpoint(self):
+        for inside, endpoint in ((-5e-10, 0.0), (np.pi / 2.0 + 5e-10, np.pi / 2.0)):
+            assert hardy_probabilities(inside) == hardy_probabilities(endpoint)
 
     def test_classical_enumeration_forces_fourth_zero(self):
         assert hardy_classical_fourth_zero()
@@ -394,7 +431,7 @@ class TestTlm:
     def test_quantum_records_satisfy(self):
         rng = np.random.default_rng(73)
         for _ in range(300):
-            state = qcore.random_state((2, 2), rng)
+            state = random_state((2, 2), rng)
             settings_a = [MeasurementSetting.random(rng) for _ in range(2)]
             settings_b = [MeasurementSetting.random(rng) for _ in range(2)]
             c = np.clip(

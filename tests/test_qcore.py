@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from qfoundry import qcore
+from helpers import apply_unitary, kron_projector, measure_probability, random_state
+
+from qfoundry import fock, inequalities, qcore
 from qfoundry.qcore import (
     DensityMatrix,
     MeasurementSetting,
     Observable,
     StateVector,
-    apply_unitary,
     basis_state,
     expectation,
     fidelity,
-    measure_probability,
     partial_trace,
+    product_probability,
     singlet,
     spin_observable,
     tensor,
@@ -95,8 +96,8 @@ class TestTensor:
     def test_tensor_then_trace_returns_factor(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            s1 = qcore.random_state((2,), rng)
-            s2 = qcore.random_state((3,), rng)
+            s1 = random_state((2,), rng)
+            s2 = random_state((3,), rng)
             joint = tensor(s1, s2).density()
             for keep, factor in ((0, s1), (1, s2)):
                 reduced = partial_trace(joint, keep)
@@ -127,7 +128,7 @@ class TestPartialTrace:
 
     def test_trace_preserved_and_index_checked(self):
         rng = np.random.default_rng(3)
-        state = qcore.random_state((2, 2, 3), rng)
+        state = random_state((2, 2, 3), rng)
         reduced = partial_trace(state.density(), 2)
         assert reduced.dims == (3,)
         assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
@@ -136,7 +137,7 @@ class TestPartialTrace:
 
     def test_three_subsystem_reduction_recovers_each_factor(self):
         rng = np.random.default_rng(31)
-        factors = [qcore.random_state((d,), rng) for d in (2, 3, 2)]
+        factors = [random_state((d,), rng) for d in (2, 3, 2)]
         joint = tensor(tensor(factors[0], factors[1]), factors[2]).density()
         for keep, factor in enumerate(factors):
             reduced = partial_trace(joint, keep)
@@ -145,7 +146,7 @@ class TestPartialTrace:
     def test_basis_independence_of_reduction(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            state = qcore.random_state((2, 2), rng)
+            state = random_state((2, 2), rng)
             u = haar_unitary(2, rng)
             rotated = apply_unitary(state, u, subsystem=0)
             direct = partial_trace(state.density(), 1)
@@ -183,12 +184,73 @@ class TestBornRule:
     def test_complete_projector_set_sums_to_one(self):
         rng = np.random.default_rng(13)
         for dim in (2, 3, 4):
-            state = qcore.random_state((dim,), rng)
+            state = random_state((dim,), rng)
             u = haar_unitary(dim, rng)
             total = sum(
                 measure_probability(state, qcore.projector_onto(u[:, k])) for k in range(dim)
             )
             assert abs(total - 1.0) < 1e-10
+
+
+def random_kets(rng, shape):
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+
+class TestProductProbability:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_matches_the_kron_projector_oracle(self, dims):
+        rng = np.random.default_rng(41)
+        trials = 200
+        states = [random_state(dims, rng) for _ in range(trials)]
+        kets_a, kets_b = random_kets(rng, (trials, dims[0])), random_kets(rng, (trials, dims[1]))
+        batch = product_probability(np.stack([s.amplitudes.reshape(dims) for s in states]), kets_a, kets_b)
+        assert batch.shape == (trials,)
+        for state, ket_a, ket_b, value in zip(states, kets_a, kets_b, batch):
+            projector = kron_projector(ket_a, ket_b)
+            dense = np.kron(np.outer(ket_a, ket_a.conj()), np.outer(ket_b, ket_b.conj()))
+            np.testing.assert_array_equal(projector, dense)
+            assert abs(value - measure_probability(state, Observable(projector))) <= 1e-15
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(43)
+        psi = singlet().amplitudes.reshape(2, 2)
+        kets_a, kets_b = random_kets(rng, (5, 1, 2)), random_kets(rng, (1, 7, 2))
+        batch = product_probability(psi, kets_a, kets_b)
+        assert batch.shape == (5, 7)
+        for i, j in np.ndindex(5, 7):
+            assert batch[i, j] == product_probability(psi, kets_a[i, 0], kets_b[0, j])
+
+    def test_complete_product_basis_sums_to_one(self):
+        rng = np.random.default_rng(47)
+        psi = random_state((2, 3), rng).amplitudes.reshape(2, 3)
+        basis_a, basis_b = haar_unitary(2, rng).T, haar_unitary(3, rng).T  # rows are the kets
+        total = product_probability(psi, basis_a[:, None, :], basis_b[None, :, :]).sum()
+        assert abs(total - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "psi, ket_a, ket_b, message",
+        [
+            (np.eye(2) / np.sqrt(2.0), [1.0, 0.0, 0.0], [1.0, 0.0], "does not match"),
+            (np.ones(4) / 2.0, [1.0, 0.0], [1.0, 0.0], "does not match"),
+            (np.eye(2), [1.0, 0.0], [1.0, 0.0], "state is not a finite unit vector"),
+            (np.eye(2) / np.sqrt(2.0), [1.0, 1.0], [1.0, 0.0], "ket_a is not a finite unit vector"),
+            (np.eye(2) / np.sqrt(2.0), [1.0, 0.0], [[1.0, 0.0], [np.nan, 0.0]], "ket_b is not a finite unit vector"),
+            (np.eye(2) / np.sqrt(2.0), [np.inf, 0.0], [1.0, 0.0], "ket_a is not a finite unit vector"),
+            ([[np.nan, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0], "state is not a finite unit vector"),
+        ],
+        ids=["ket-size", "state-shape", "state-norm", "ket-norm", "nan-in-batch", "inf-ket", "nan-state"],
+    )
+    def test_refuses_malformed_input(self, psi, ket_a, ket_b, message):
+        with pytest.raises(ValueError, match=message):
+            product_probability(psi, ket_a, ket_b)
+
+    def test_refuses_a_probability_above_the_slack(self):
+        # each vector is unit within ATOL, but together they lift |<a b|psi>|^2 to 1 + 2.7e-12
+        stretch = np.sqrt(1.0 + 0.9 * qcore.ATOL)
+        with pytest.raises(ValueError, match="above 1"):
+            product_probability(np.diag([stretch, 0.0]), [stretch, 0.0], [stretch, 0.0])
+        assert product_probability(np.diag([stretch, 0.0]), [1.0, 0.0], [1.0, 0.0]) == 1.0
 
 
 class TestSpinObservable:
@@ -217,7 +279,7 @@ class TestSpinObservable:
 class TestApplyUnitary:
     def test_subsystem_application_matches_factor_action(self):
         rng = np.random.default_rng(37)
-        factors = [qcore.random_state((2,), rng) for _ in range(3)]
+        factors = [random_state((2,), rng) for _ in range(3)]
         joint = tensor(tensor(factors[0], factors[1]), factors[2])
         u = haar_unitary(2, rng)
         rotated = apply_unitary(joint, u, subsystem=1)
@@ -248,9 +310,42 @@ class TestSingletInvariance:
 def test_qutrit_support():
     # the engine must not hard-code qubits: build a qutrit projector chain
     rng = np.random.default_rng(29)
-    state = qcore.random_state((3,), rng)
+    state = random_state((3,), rng)
     u = haar_unitary(3, rng)
     probabilities = [
         measure_probability(state, qcore.projector_onto(u[:, k])) for k in range(3)
     ]
     assert abs(sum(probabilities) - 1.0) < 1e-10
+
+
+PENTAGRAM = inequalities.kcbs_build_pentagram()
+
+
+def with_entry(values, index, bad):
+    values = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+    values[index] = bad
+    return values
+
+
+# each constructor with one finite input replaced by the given non-finite value
+NON_FINITE_INPUTS = {
+    "StateVector": lambda bad: StateVector((2,), [bad, 0.0]),
+    "DensityMatrix-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 0), bad)),
+    "DensityMatrix-off-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 1), bad)),
+    "Observable": lambda bad: Observable(with_entry(np.eye(2), (1, 1), bad)),
+    "projector_onto": lambda bad: qcore.projector_onto([bad, 1.0]),
+    "ModeRotation": lambda bad: fock.ModeRotation(bad),
+    "KcbsConfiguration-directions": lambda bad: inequalities.KcbsConfiguration(
+        with_entry(PENTAGRAM.directions, (2, 0), bad), PENTAGRAM.state_direction
+    ),
+    "KcbsConfiguration-state": lambda bad: inequalities.KcbsConfiguration(
+        PENTAGRAM.directions, with_entry(PENTAGRAM.state_direction, 2, bad)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("construct", list(NON_FINITE_INPUTS.values()), ids=list(NON_FINITE_INPUTS))
+def test_value_types_refuse_non_finite_input(construct, bad):
+    with pytest.raises(ValueError):
+        construct(bad)
