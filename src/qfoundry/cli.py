@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fock, hvmodels, inequalities, popper, qcore, verify
+from . import DEFAULT_SEED, __version__, fock, hvmodels, inequalities, popper, qcore
 from .hvmodels import LeggettModelParams, ModelInconsistentError
 from .qcore import MeasurementSetting
 from .report import ResultTable, render_table_csv, render_table_csv_sidecar, render_table_json
@@ -89,7 +89,7 @@ seed_int = _int_at_least(0)
 def _default_seed() -> int:
     raw = os.environ.get("QFOUNDRY_SEED")
     if raw is None:
-        return verify.DEFAULT_SEED
+        return DEFAULT_SEED
     try:
         return seed_int(raw)
     except argparse.ArgumentTypeError as exc:
@@ -124,6 +124,15 @@ def _points(scan: str | None, scan_flag: str, single: float | None, single_flag:
             f"{scan_flag} sets the scan and cannot be combined with {single_flag}; got {single_flag} {single}"
         )
     return _parse_scan(scan, scan_flag)
+
+
+def _radians(degrees: np.ndarray, flag: str, upper_deg: float) -> np.ndarray:
+    """``degrees`` in radians; one outside [0, upper_deg] beyond the library's rounding slack is refused naming ``flag``."""
+    radians = np.deg2rad(degrees)
+    outside = (radians < -inequalities.DOMAIN_ATOL) | (radians > math.radians(upper_deg) + inequalities.DOMAIN_ATOL)
+    if outside.any():
+        raise ValueError(f"{flag}: angles must lie in [0, {upper_deg:g}] degrees, got {degrees[outside][0].item()!r}")
+    return radians
 
 
 def _table(args, params: dict, provenance: dict, columns: list[str], rows, **extra) -> ResultTable:
@@ -271,7 +280,7 @@ def _scenario_leggett(args) -> ResultTable:
 
     scan_phi = DEFAULT_SCAN_PHI if args.scan_phi is None else args.scan_phi
     phis_deg = _parse_scan(scan_phi, "--scan-phi")
-    scan = inequalities.leggett_violation_scan(np.deg2rad(phis_deg))
+    scan = inequalities.leggett_violation_scan(_radians(phis_deg, "--scan-phi", 180.0))
     return _table(
         args,
         {"scan_phi_deg": scan_phi},
@@ -313,7 +322,8 @@ def _scenario_kcbs(args) -> ResultTable:
 
 def _scenario_hardy(args) -> ResultTable:
     gammas_deg = _points(args.scan_gamma, "--scan-gamma", args.gamma, "--gamma", DEFAULT_GAMMA)
-    probabilities = inequalities.hardy_probabilities(np.deg2rad(gammas_deg))
+    gamma_flag = "--gamma" if args.scan_gamma is None else "--scan-gamma"
+    probabilities = inequalities.hardy_probabilities(_radians(gammas_deg, gamma_flag, 90.0))
     closed_form = [
         inequalities.hardy_fourth_probability_closed_form(math.radians(gamma_deg)) for gamma_deg in gammas_deg.tolist()
     ]
@@ -350,7 +360,7 @@ def _scenario_noon(args) -> ResultTable:
     rows = [(f"|{n_a},{n_b}>", amplitude.real, amplitude.imag) for n_a, n_b, amplitude in state.occupied()]
     extra = {}
     if args.n == 1:
-        atoms = fock.photon_atoms_entangle(fock.noon_state(1, 1))
+        atoms = fock.photon_atoms_entangle(fock.noon_state(1))
         for label, amplitude in zip(["|gg>", "|ge>", "|eg>", "|ee>"], atoms.amplitudes):
             rows.append((label, float(amplitude.real), float(amplitude.imag)))
         reduced = qcore.partial_trace(atoms.density(), 0)
@@ -519,6 +529,8 @@ def _emit(table: ResultTable, args) -> None:
 
 
 def _run_verify(args) -> int:
+    from . import verify  # the checks' own imports stay off every scenario's start-up
+
     results, report = verify.run_all_checks(args.seed)
     for result in results:
         print(f"{result.line()} ({result.elapsed_ms:.0f} ms)")

@@ -47,8 +47,6 @@ class CorrelationRecord:
     """Two-setting-per-party correlator table c[i, j] = <A_i B_j>."""
 
     c: np.ndarray
-    marginals_a: np.ndarray | None = None
-    marginals_b: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -58,14 +56,6 @@ class CorrelationRecord:
             raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {float(np.max(np.abs(c)))!r}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        for name in ("marginals_a", "marginals_b"):
-            m = getattr(self, name)
-            if m is not None:
-                m = np.asarray(m, dtype=float).reshape(-1)
-                if m.size != 2 or not np.max(np.abs(m)) <= 1.0 + 1e-12:
-                    raise ValueError(f"{name} must be two values in [-1, 1]")
-                m.setflags(write=False)
-                object.__setattr__(self, name, m)
 
 
 def chsh_value(record: CorrelationRecord) -> float:
@@ -176,7 +166,7 @@ def chsh_planar_grid_value(state: StateVector) -> float:
 
 
 # slack for degree-to-radian rounding at the interval endpoints
-_DOMAIN_ATOL = 1e-9
+DOMAIN_ATOL = 1e-9
 
 
 def _in_domain(values, name: str, upper: float, upper_text: str) -> np.ndarray:
@@ -185,7 +175,7 @@ def _in_domain(values, name: str, upper: float, upper_text: str) -> np.ndarray:
     if values.size == 0:
         raise ValueError(f"{name} is empty")
     lo, hi = values.min(), values.max()
-    if not (-_DOMAIN_ATOL <= lo and hi <= upper + _DOMAIN_ATOL):
+    if not (-DOMAIN_ATOL <= lo and hi <= upper + DOMAIN_ATOL):
         raise ValueError(f"{name} in [{float(lo)!r}, {float(hi)!r}] outside [0, {upper_text}]")
     return values
 

@@ -39,6 +39,8 @@ def _as_complex_matrix(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # refused before m - m^H turns an infinite entry into a NaN warning
+        raise ValueError("matrix entries must be finite")
     arr.setflags(write=False)
     return arr
 

@@ -1,10 +1,14 @@
 """Acceptance checks: every headline number, rerun from scratch.
 
-Each check recomputes one quantitative claim end to end and returns a
-:class:`CheckResult` carrying the measured values.  ``run_all_checks``
-executes the core checks plus a determinism check that re-runs the whole
-battery and byte-compares the rendered reports.  All randomness derives
-from the single seed argument, so reports are reproducible byte for byte.
+Each check recomputes one quantitative claim end to end and returns
+``(passed, expected, measured)``: the verdict, the criterion's stated
+tolerance and the measured values.  :data:`CORE_CHECKS` gives each of the
+eleven core checks its criterion number and name, and only
+``run_core_checks`` and ``run_all_checks`` pair them into a
+:class:`CheckResult`.  ``run_all_checks`` adds criterion 12, which re-runs
+the whole battery and byte-compares the rendered reports.  All randomness
+derives from the single seed argument, so reports are reproducible byte
+for byte.  The CLI imports this module only for its ``verify`` subcommand.
 
 Check 4 runs its 97 independent Leggett scenarios on one thread per usable
 CPU (:func:`hvmodels.parallel_map`).  Each scenario has its own seed and the
@@ -23,11 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fock, hvmodels, inequalities, popper, qcore
+from . import DEFAULT_SEED, __version__, fock, hvmodels, inequalities, popper, qcore
 from .hvmodels import LeggettModelParams, MeasurementSetting
 from .report import render_json
-
-DEFAULT_SEED = 2026
 
 
 @dataclass
@@ -46,50 +48,34 @@ class CheckResult:
         return f"criterion {self.criterion:02d} {status} {self.name}: {details} [expected: {self.expected}]"
 
 
-def _measured(**kwargs) -> dict:
-    out = {}
-    for key, value in kwargs.items():
-        if isinstance(value, (np.floating, float)):
-            out[key] = float(value)
-        elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-            out[key] = int(value)
-        else:
-            out[key] = value
-    return out
-
-
-def check_lhv_bound(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_lhv_bound(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 1: exact vertex minimization of the same-outcome probability."""
     minimum = hvmodels.lhv_minimum_same_probability()
     vertex_values = [
         float(hvmodels.row_same_fraction(row)) for row in hvmodels.LOCAL_HV_ROWS
     ]
     passed = minimum == Fraction(1, 3) and abs(min(vertex_values) - 1.0 / 3.0) < 1e-15
-    return CheckResult(
-        1,
-        "lhv-minimum",
+    return (
         passed,
         "exactly 1/3 over the 8 vertices",
-        _measured(minimum=f"{minimum.numerator}/{minimum.denominator}", minimum_float=min(vertex_values)),
+        dict(minimum=f"{minimum.numerator}/{minimum.denominator}", minimum_float=min(vertex_values)),
     )
 
 
-def check_polarization_contradiction(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_polarization_contradiction(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 2: quantum same-outcome probability at 2*pi/3 undercuts 1/3."""
     p_same, p_both_pass = inequalities.qm_same_polarization_probability(2.0 * np.pi / 3.0)
     quoted = 0.125  # the printed value, = the both-pass probability
     threshold = 1.0 / 3.0 - 0.05
     passed = p_same < threshold and p_both_pass < threshold and quoted < threshold
-    return CheckResult(
-        2,
-        "polarization-contradiction",
+    return (
         passed,
         "every reading below 1/3 by more than 0.05",
-        _measured(p_same=p_same, p_both_pass=p_both_pass, quoted_value=quoted, lhv_bound=1.0 / 3.0),
+        dict(p_same=p_same, p_both_pass=p_both_pass, quoted_value=quoted, lhv_bound=1.0 / 3.0),
     )
 
 
-def check_singlet_reduction(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_singlet_reduction(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 3: partial trace of the singlet is I/2 in both bases."""
     half_identity = np.eye(2) / 2.0
     errors = []
@@ -104,12 +90,10 @@ def check_singlet_reduction(seed: int = DEFAULT_SEED) -> CheckResult:
             reduced = qcore.partial_trace(state.density(), keep)
             errors.append(float(np.max(np.abs(reduced.matrix - half_identity))))
     max_error = max(errors)
-    return CheckResult(
-        3,
-        "singlet-reduction",
+    return (
         max_error < 1e-12,
         "max elementwise error below 1e-12 in z and +- bases",
-        _measured(max_error=max_error),
+        dict(max_error=max_error),
     )
 
 
@@ -179,7 +163,7 @@ def _leggett_scenario(params: LeggettModelParams, seed: int) -> tuple[float, flo
     return analytic_error, worst_sigma
 
 
-def check_leggett_model(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_leggett_model(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 4: analytic means match the dot products; sampler agrees.
 
     Scenario i is seeded ``seed * 1000 + i``; the scenarios run on
@@ -191,16 +175,14 @@ def check_leggett_model(seed: int = DEFAULT_SEED) -> CheckResult:
     errors, sigmas = zip(*hvmodels.parallel_map(_leggett_scenario, scenarios, seeds))
     analytic_error, worst_sigma = max(errors), max(sigmas)
     passed = analytic_error < 1e-12 and worst_sigma < 5.0
-    return CheckResult(
-        4,
-        "leggett-model",
+    return (
         passed,
         "analytic error < 1e-12 on 97 scenarios; MC gaps < 5 stderr at 1e6 samples",
-        _measured(analytic_error=analytic_error, worst_mc_sigmas=worst_sigma, n_samples=LEGGETT_SAMPLES),
+        dict(analytic_error=analytic_error, worst_mc_sigmas=worst_sigma, n_samples=LEGGETT_SAMPLES),
     )
 
 
-def check_leggett_violation(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_leggett_violation(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 5: scan locates the violation maximum at the stationary phi."""
     phi = np.deg2rad(np.arange(0.0, 90.0 + 1e-9, 0.01))
     scan = inequalities.leggett_violation_scan(phi)
@@ -211,12 +193,10 @@ def check_leggett_violation(seed: int = DEFAULT_SEED) -> CheckResult:
         and abs(argmax_deg - oracle_deg) <= 0.5
         and abs(argmax_deg - 18.8) <= 1.0
     )
-    return CheckResult(
-        5,
-        "leggett-violation",
+    return (
         passed,
         "max gap > 0.10 at phi within 0.5 deg of the sin(phi/2)=1/(2 pi) root and 1.0 deg of 18.8",
-        _measured(
+        dict(
             max_violation=scan.max_violation,
             argmax_deg=argmax_deg,
             oracle_deg=oracle_deg,
@@ -247,7 +227,7 @@ def _random_correlator_batch(seed: int, trials: int) -> np.ndarray:
     return settings_a @ tensor @ settings_b.transpose(0, 2, 1)
 
 
-def check_chsh(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_chsh(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 6: singlet optimum reaches 2 sqrt(2); random states never exceed it.
 
     The 1e4 random configurations come from :func:`_random_correlator_batch`,
@@ -268,12 +248,10 @@ def check_chsh(seed: int = DEFAULT_SEED) -> CheckResult:
     )
     max_random = float(np.max(np.abs(combos)))
     passed = singlet_error < 1e-6 and max_random <= inequalities.TSIRELSON_BOUND + 1e-9
-    return CheckResult(
-        6,
-        "chsh-tsirelson",
+    return (
         passed,
         "singlet within 1e-6 of 2 sqrt(2); 1e4 random configurations below 2 sqrt(2) + 1e-9",
-        _measured(
+        dict(
             s_singlet=optimum.s_max,
             singlet_error=singlet_error,
             max_random=max_random,
@@ -283,7 +261,7 @@ def check_chsh(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_kcbs(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_kcbs(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 7: pentagram orthogonality, quantum value, classical minimum."""
     config = inequalities.kcbs_build_pentagram()
     adjacency = config.max_adjacent_dot()
@@ -291,12 +269,10 @@ def check_kcbs(seed: int = DEFAULT_SEED) -> CheckResult:
     value_error = abs(value - inequalities.KCBS_QUANTUM_VALUE)
     classical = inequalities.kcbs_classical_minimum()
     passed = adjacency < 1e-12 and value_error < 1e-9 and classical == -3
-    return CheckResult(
-        7,
-        "kcbs-pentagram",
+    return (
         passed,
         "adjacent dots < 1e-12; value = 5 - 4 sqrt(5) within 1e-9; classical minimum -3",
-        _measured(
+        dict(
             max_adjacent_dot=adjacency,
             quantum_value=value,
             value_error=value_error,
@@ -305,7 +281,7 @@ def check_kcbs(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_hardy(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_hardy(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 8: zero conditions and the fourth probability on a gamma grid."""
     grid = np.linspace(0.02, np.pi / 2.0 - 0.02, 50)
     p1, p2, p3, p4 = inequalities.hardy_probabilities(grid)
@@ -320,12 +296,10 @@ def check_hardy(seed: int = DEFAULT_SEED) -> CheckResult:
         and abs(reference - 0.0876) <= 1e-4
         and classical_ok
     )
-    return CheckResult(
-        8,
-        "hardy-probabilities",
+    return (
         passed,
         "three zeros < 1e-12 and p4 within 1e-10 of closed form on 50 gammas; p4(22.5 deg) = 0.0876 +- 1e-4",
-        _measured(
+        dict(
             max_zero_probability=max_zero,
             max_p4_error=max_p4_error,
             p4_at_22_5_deg=reference,
@@ -334,7 +308,7 @@ def check_hardy(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_tlm(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_tlm(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 9: quantum records satisfy TLM, the PR box violates it.
 
     The 1e4 quantum records are :func:`_random_correlator_batch` tables drawn
@@ -358,12 +332,10 @@ def check_tlm(seed: int = DEFAULT_SEED) -> CheckResult:
         and not pr_box.satisfied
         and equality_gap < 1e-12
     )
-    return CheckResult(
-        9,
-        "tlm-quantum-set",
+    return (
         passed,
         "1e4 quantum records satisfy TLM within 1e-12; PR box violates by 2; singlet record at equality",
-        _measured(
+        dict(
             worst_quantum_margin=worst_margin,
             pr_box_lhs=pr_box.lhs,
             pr_box_rhs=pr_box.rhs,
@@ -373,7 +345,7 @@ def check_tlm(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_hom(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_hom(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 10: the 45-degree PBS maps |1,1> to (|2,0> - |0,2>)/sqrt(2)."""
     output = fock.hong_ou_mandel_output()
     r = 1.0 / math.sqrt(2.0)
@@ -382,12 +354,10 @@ def check_hom(seed: int = DEFAULT_SEED) -> CheckResult:
     err_11 = abs(output.amplitude(1, 1))
     coincidence = fock.coincidence_probability(output)
     passed = err_20 < 1e-12 and err_02 < 1e-12 and err_11 < 1e-12 and coincidence == 0.0
-    return CheckResult(
-        10,
-        "hong-ou-mandel",
+    return (
         passed,
         "amplitudes +-1/sqrt(2) on (2,0)/(0,2) and 0 on (1,1) within 1e-12; zero coincidence",
-        _measured(
+        dict(
             error_20=err_20, error_02=err_02, error_11=err_11, coincidence=coincidence
         ),
     )
@@ -397,7 +367,7 @@ POPPER_SIGMAS = (0.6, 0.8, 1.0, 1.3, 1.7)
 POPPER_WIDTHS = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 
-def check_popper(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_popper(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 11: Gaussian-slit conditioning saturates the bound everywhere."""
     worst_product_dev = 0.0
     min_product = math.inf
@@ -437,12 +407,10 @@ def check_popper(seed: int = DEFAULT_SEED) -> CheckResult:
         and worst_doubling < 1e-4
         and narrowing_shift <= 1e-3
     )
-    return CheckResult(
-        11,
-        "popper-conditional",
+    return (
         passed,
         "product = 1/2 within 1e-3 on the 5x5x5 grid, stable under grid doubling (1e-4) and 10x narrowing (1e-3)",
-        _measured(
+        dict(
             worst_product_deviation=worst_product_dev,
             min_product=min_product,
             worst_grid_doubling_change=worst_doubling,
@@ -468,28 +436,21 @@ CORE_CHECKS: tuple[tuple[int, str, object], ...] = (
 )
 
 
+def _run(criterion: int, name: str, check, *args) -> CheckResult:
+    """``check(*args)`` as the timed result line of criterion ``criterion``."""
+    start = time.perf_counter()
+    try:
+        passed, expected, measured = check(*args)
+    except Exception as exc:  # a tampered or broken module must fail its line, not the run
+        passed, expected, measured = False, "check executed without raising", {"error": f"{type(exc).__name__}: {exc}"}
+    return CheckResult(criterion, name, passed, expected, measured, (time.perf_counter() - start) * 1e3)
+
+
 def run_core_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    results = []
-    for criterion, name, fn in CORE_CHECKS:
-        start = time.perf_counter()
-        try:
-            result = fn(seed)
-        except Exception as exc:  # a tampered or broken module must fail its line, not the run
-            result = CheckResult(
-                criterion,
-                name,
-                False,
-                "check executed without raising",
-                {"error": f"{type(exc).__name__}: {exc}"},
-            )
-        result.elapsed_ms = (time.perf_counter() - start) * 1e3
-        results.append(result)
-    return results
+    return [_run(criterion, name, check, seed) for criterion, name, check in CORE_CHECKS]
 
 
 def render_report(results: list[CheckResult], seed: int) -> str:
-    from . import __version__
-
     payload = {
         "seed": int(seed),
         "toolkit_version": __version__,
@@ -508,25 +469,20 @@ def render_report(results: list[CheckResult], seed: int) -> str:
     return render_json(payload) + "\n"
 
 
-def check_determinism(seed: int, first_report: str) -> CheckResult:
+def check_determinism(seed: int, first_report: str) -> tuple[bool, str, dict]:
     """Criterion 12: rerunning the whole battery reproduces the report bytes."""
     rerun = render_report(run_core_checks(seed), seed)
     digest_a = hashlib.sha256(first_report.encode()).hexdigest()
     digest_b = hashlib.sha256(rerun.encode()).hexdigest()
-    return CheckResult(
-        12,
-        "determinism",
+    return (
         rerun == first_report,
         "byte-identical reports for identical seeds",
-        _measured(first_sha256=digest_a[:16], rerun_sha256=digest_b[:16]),
+        dict(first_sha256=digest_a[:16], rerun_sha256=digest_b[:16]),
     )
 
 
 def run_all_checks(seed: int = DEFAULT_SEED) -> tuple[list[CheckResult], str]:
     """All twelve checks plus the final rendered report."""
     core = run_core_checks(seed)
-    start = time.perf_counter()
-    determinism = check_determinism(seed, render_report(core, seed))
-    determinism.elapsed_ms = (time.perf_counter() - start) * 1e3
-    results = core + [determinism]
+    results = core + [_run(12, "determinism", check_determinism, seed, render_report(core, seed))]
     return results, render_report(results, seed)

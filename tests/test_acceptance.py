@@ -22,9 +22,9 @@ RUNTIME_BUDGETS = {1: 1.0, 2: 1.0, 4: 5.0, 5: 10.0, 6: 5.0, 7: 1.0, 8: 5.0, 9: 2
 def core_run():
     """Single timed execution of the eleven core checks."""
     results = {}
-    for criterion, _name, fn in verify.CORE_CHECKS:
+    for criterion, name, fn in verify.CORE_CHECKS:
         start = time.perf_counter()
-        result = fn(SEED)
+        result = verify.CheckResult(criterion, name, *fn(SEED))
         results[criterion] = (result, time.perf_counter() - start)
     return results
 
@@ -43,6 +43,6 @@ def test_criterion(core_run, criterion):
 
 def test_criterion_12_determinism(core_run):
     first = verify.render_report([core_run[c][0] for c, _, _ in verify.CORE_CHECKS], SEED)
-    result = verify.check_determinism(SEED, first)
+    result = verify.CheckResult(12, "determinism", *verify.check_determinism(SEED, first))
     print(result.line())
     assert result.passed, result.line()

@@ -279,6 +279,10 @@ class TestErrorMessages:
             (["hardy", "--scan-gamma", "0:1e300:1e-300"], "--scan-gamma: '0:1e300:1e-300' has more than MAX_SCAN"),
             (["polarization-qm", "--scan-theta=-1.7e308:1.7e308:1"], "--scan-theta: '-1.7e308:1.7e308:1' has more"),
             (["leggett", "--scan-phi", "0:100000:1"], "--scan-phi: '0:100000:1' has more than MAX_SCAN_POINTS"),
+            # these three named the library's parameter, in radians
+            (["hardy", "--gamma", "91"], "--gamma: angles must lie in [0, 90] degrees, got 91.0"),
+            (["hardy", "--scan-gamma=-5:10:5"], "--scan-gamma: angles must lie in [0, 90] degrees, got -5.0"),
+            (["leggett", "--scan-phi", "0:200:10"], "--scan-phi: angles must lie in [0, 180] degrees, got 190.0"),
         ],
         ids=[
             "noon",
@@ -291,6 +295,9 @@ class TestErrorMessages:
             "scan-overflow-error",
             "scan-span-overflows",
             "scan-cap-plus-one",
+            "gamma-past-90",
+            "scan-gamma-below-0",
+            "scan-phi-past-180",
         ],
     )
     def test_out_of_range_values_name_their_flag(self, argv, flag, capsys):
@@ -303,7 +310,7 @@ class TestErrorMessages:
         assert captured.out == ""
         assert flag in captured.err
         # the library's own parameter wording, which names no flag
-        for phrase in ("n_max =", "n_samples", "grid needs", "extent must be positive and finite"):
+        for phrase in ("n_max =", "n_samples", "grid needs", "extent must be positive and finite", "outside [0, pi"):
             assert phrase not in captured.err
 
     @pytest.mark.parametrize(
@@ -647,20 +654,27 @@ def test_every_command_runs_with_scipy_unimportable(tmp_path):
     assert all(code == 0 for code in result["codes"].values()), result["codes"]
 
 
-def test_start_up_does_not_load_the_thread_pool():
-    # concurrent.futures pulls in logging (about 10 ms); only verify's check 4 needs it
+def test_start_up_loads_only_what_a_scenario_uses():
+    # only the verify subcommand needs qfoundry.verify, its hashlib (OpenSSL) and check 4's
+    # thread pool (concurrent.futures pulls in logging); a bare package import loads no submodule
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
+        import qfoundry
+
+        bare = sorted(m for m in sys.modules if m.startswith("qfoundry."))
         import qfoundry.cli as cli
 
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["kcbs"])
-        print(json.dumps({"code": code, "loaded": "concurrent.futures" in sys.modules}))
+            codes = {name: cli.main([name]) for name in cli.SCENARIOS}
+        unused = sorted(m for m in ("qfoundry.verify", "hashlib", "concurrent.futures") if m in sys.modules)
+        print(json.dumps({"bare": bare, "codes": codes, "unused": unused}))
         """
     )
-    result = run_fresh_interpreter("-c", script)
-    assert json.loads(result.stdout) == {"code": 0, "loaded": False}
+    result = json.loads(run_fresh_interpreter("-c", script).stdout)
+    assert result["bare"] == []
+    assert result["codes"] == {name: 0 for name in cli.SCENARIOS}
+    assert result["unused"] == []
 
 
 # CLI fuzz: every scenario flag of cli.SCENARIOS plus --format and --seed, with finite,

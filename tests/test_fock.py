@@ -49,7 +49,7 @@ class TestFockState:
         assert state.amplitude(1, 1) == 0.0
 
     def test_total_number_distribution(self):
-        state = noon_state(3, n_max=5)
+        state = noon_state(3)
         dist = state.total_number_distribution()
         assert abs(dist[3] - 1.0) < 1e-12
         assert abs(dist.sum() - 1.0) < 1e-12
@@ -134,7 +134,7 @@ class TestCoincidence:
 
 class TestPhotonAtoms:
     def test_single_photon_superposition_entangles_atoms(self):
-        atoms = photon_atoms_entangle(noon_state(1, 1))
+        atoms = photon_atoms_entangle(noon_state(1))
         expected = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / SQRT2
         np.testing.assert_allclose(atoms.amplitudes, expected, atol=1e-15)
 
@@ -143,7 +143,7 @@ class TestPhotonAtoms:
         np.testing.assert_allclose(atoms.amplitudes, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
     def test_reduced_atom_state_is_maximally_mixed(self):
-        atoms = photon_atoms_entangle(noon_state(1, 1))
+        atoms = photon_atoms_entangle(noon_state(1))
         for keep in (0, 1):
             reduced = qcore.partial_trace(atoms.density(), keep)
             assert np.max(np.abs(reduced.matrix - np.eye(2) / 2.0)) < 1e-12
@@ -186,16 +186,14 @@ class TestBasisRelabelingDemo:
 def test_noon_state_validation():
     with pytest.raises(ValueError):
         noon_state(0)
-    with pytest.raises(ValueError):
-        noon_state(4, n_max=3)
-    state = noon_state(5, n_max=6)
+    state = noon_state(5)
     assert abs(state.amplitude(5, 0) - 1.0 / SQRT2) < 1e-15
     assert abs(state.amplitude(0, 5) - 1.0 / SQRT2) < 1e-15
 
 
 @pytest.mark.parametrize(
     "make",
-    [vacuum, lambda n_max: fock_basis(n_max, 1, 1), lambda n_max: noon_state(n_max, n_max)],
+    [vacuum, lambda n_max: fock_basis(n_max, 1, 1), noon_state],
     ids=["vacuum", "fock_basis", "noon_state"],
 )
 def test_truncation_cap(make):
