@@ -466,7 +466,7 @@ SCENARIOS = {
     ]),
     "hom": Scenario("two-photon interference at the 45-degree PBS", _scenario_hom, []),
     "noon": Scenario("N00N state and the path-marker atoms", _scenario_noon, [
-        ("--n", dict(type=positive_int, default=1, help=f"photon number N (at most {fock.MAX_N_MAX})")),
+        ("--n", dict(type=positive_int, default=1, help="photon number N")),
     ]),
     "popper": Scenario("conditional uncertainty after a slit", _scenario_popper, [
         ("--sigma-plus", dict(type=finite_float, default=1.0)),

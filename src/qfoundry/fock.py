@@ -1,10 +1,11 @@
 """Two-mode bosonic Fock-space engine.
 
-Amplitude tables are indexed by occupation (n_a, n_b) with n_a + n_b
-bounded by the truncation ``n_max``.  Ladder operations keep raw (possibly
-non-unit) amplitudes so operator algebra like a+_H a+_V |0> composes
-without hidden renormalization; call :meth:`FockState.normalized` when a
-physical state is needed.
+A state is the map from each occupied number state (n_a, n_b) to its
+complex amplitude, so its size is the number of occupied states, whatever
+the photon number.  Ladder operations keep raw (possibly non-unit)
+amplitudes so operator algebra like a+_H a+_V |0> composes without hidden
+renormalization; call :meth:`FockState.normalized` when a physical state
+is needed.
 
 Mode rotations rewrite creation operators as linear combinations of the
 rotated-mode operators and re-expand, which is the physical beamsplitter
@@ -16,130 +17,94 @@ action.  The polarizing-beamsplitter convention at angle t is
 so at 45 degrees, the balanced (50:50) splitter, a+_H -> (a+_A + a+_D)/sqrt(2)
 and a+_V -> (a+_A - a+_D)/sqrt(2).  The matrix is symmetric orthogonal, hence
 its own inverse: applying the same rotation twice returns the input.
-Output amplitude tables are always stated in the rotated (new) mode basis.
+Output amplitudes are always stated in the rotated (new) mode basis.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .qcore import StateVector
 
-DEFAULT_N_MAX = 6
-# a (MAX_N_MAX + 1)^2 complex amplitude table is 16.8 MB
-MAX_N_MAX = 1024
 AMPLITUDE_ATOL = 1e-12
-
-
-class TruncationOverflowError(ValueError):
-    """An operation would populate occupations beyond the truncation."""
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Two-mode photon-number amplitude table up to total number n_max."""
+    """Two-mode photon-number state: a read-only map (n_a, n_b) -> amplitude in sorted key order."""
 
-    n_max: int
-    amplitudes: np.ndarray
+    amplitudes: Mapping[tuple[int, int], complex]
 
     def __post_init__(self):
-        n_max = int(self.n_max)
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (n_max + 1, n_max + 1):
-            raise ValueError(
-                f"amplitude table must have shape {(n_max + 1, n_max + 1)}, got {amp.shape}"
-            )
-        na, nb = np.indices(amp.shape)
-        beyond = np.abs(amp[na + nb > n_max])
-        if beyond.size and beyond.max() > 1e-14:
-            raise ValueError("amplitudes beyond the truncation n_a + n_b <= n_max")
-        amp.setflags(write=False)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "amplitudes", amp)
+        entries = {}
+        for (n_a, n_b), value in dict(self.amplitudes).items():
+            n_a, n_b, value = operator.index(n_a), operator.index(n_b), complex(value)
+            if n_a < 0 or n_b < 0:
+                raise ValueError(f"occupation ({n_a}, {n_b}) must be nonnegative")
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"amplitudes must be finite, got {value!r} at ({n_a}, {n_b})")
+            entries[n_a, n_b] = value
+        object.__setattr__(self, "amplitudes", MappingProxyType(dict(sorted(entries.items()))))
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(list(self.amplitudes.values())))
 
     def normalized(self) -> "FockState":
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return FockState(self.n_max, self.amplitudes / n)
+        return FockState({key: value / n for key, value in self.amplitudes.items()})
 
     def amplitude(self, n_a: int, n_b: int) -> complex:
-        return complex(self.amplitudes[n_a, n_b])
+        return self.amplitudes.get((n_a, n_b), 0j)
 
     def total_number_distribution(self) -> np.ndarray:
-        """Probability of each total photon number (assumes unit norm)."""
-        probs = np.abs(self.amplitudes) ** 2
-        na, nb = np.indices(probs.shape)
-        return np.bincount((na + nb).ravel(), weights=probs.ravel(), minlength=self.n_max + 1)
+        """Probability of each total photon number, indexed by it (assumes unit norm)."""
+        totals = [n_a + n_b for n_a, n_b in self.amplitudes]
+        return np.bincount(totals, weights=[abs(value) ** 2 for value in self.amplitudes.values()])
 
     def occupied(self, atol: float = AMPLITUDE_ATOL):
         """Yield (n_a, n_b, amplitude) for entries above ``atol``."""
-        for n_a in range(self.n_max + 1):
-            for n_b in range(self.n_max + 1 - n_a):
-                value = self.amplitudes[n_a, n_b]
-                if abs(value) > atol:
-                    yield n_a, n_b, complex(value)
+        for (n_a, n_b), value in self.amplitudes.items():
+            if abs(value) > atol:
+                yield n_a, n_b, value
 
 
-def _zeros(n_max: int) -> np.ndarray:
-    """An all-zero amplitude table; truncations above MAX_N_MAX are refused before allocating."""
-    if n_max > MAX_N_MAX:
-        raise ValueError(f"truncation n_max = {n_max} exceeds MAX_N_MAX = {MAX_N_MAX}")
-    return np.zeros((n_max + 1, n_max + 1), dtype=complex)
+def vacuum() -> FockState:
+    return FockState({(0, 0): 1.0})
 
 
-def vacuum(n_max: int = DEFAULT_N_MAX) -> FockState:
-    amp = _zeros(n_max)
-    amp[0, 0] = 1.0
-    return FockState(n_max, amp)
-
-
-def fock_basis(n_max: int, n_a: int, n_b: int) -> FockState:
+def fock_basis(n_a: int, n_b: int) -> FockState:
     """Number state |n_a, n_b>."""
-    if n_a < 0 or n_b < 0 or n_a + n_b > n_max:
-        raise ValueError(f"occupation ({n_a}, {n_b}) invalid for n_max = {n_max}")
-    amp = _zeros(n_max)
-    amp[n_a, n_b] = 1.0
-    return FockState(n_max, amp)
+    return FockState({(n_a, n_b): 1.0})
 
 
 def noon_state(n: int) -> FockState:
-    """(|n, 0> + |0, n>)/sqrt(2), truncated at n_max = n."""
+    """(|n, 0> + |0, n>)/sqrt(2)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    amp = _zeros(n)
-    amp[n, 0] = amp[0, n] = 1.0 / math.sqrt(2.0)
-    return FockState(n, amp)
+    r = 1.0 / math.sqrt(2.0)
+    return FockState({(n, 0): r, (0, n): r})
 
 
 def create(state: FockState, mode: str) -> FockState:
     """Apply a creation operator; raw sqrt(n+1) ladder factors are kept."""
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    n_max = state.n_max
-    amp = state.amplitudes
-    na, nb = np.indices(amp.shape)
-    boundary = np.abs(amp[na + nb == n_max])
-    if boundary.size and boundary.max() > 1e-14:
-        raise TruncationOverflowError(
-            f"creation on mode {mode!r} would exceed the truncation n_max = {n_max}"
-        )
-    out = np.zeros_like(amp)
-    ladder = np.sqrt(np.arange(1, n_max + 1, dtype=float))
-    if mode == "a":
-        out[1:, :] = amp[:-1, :] * ladder[:, None]
-    else:
-        out[:, 1:] = amp[:, :-1] * ladder[None, :]
-    return FockState(n_max, out)
+    out = {}
+    for (n_a, n_b), value in state.amplitudes.items():
+        if mode == "a":
+            out[n_a + 1, n_b] = value * math.sqrt(n_a + 1)
+        else:
+            out[n_a, n_b + 1] = value * math.sqrt(n_b + 1)
+    return FockState(out)
 
 
 @dataclass(frozen=True)
@@ -175,11 +140,8 @@ def apply_rotation(state: FockState, rot: ModeRotation) -> FockState:
     """
     m00, m01 = rot.matrix[0]
     m10, m11 = rot.matrix[1]
-    n_max = state.n_max
-    out = _zeros(n_max)
+    out = {}
     for m, n, value in state.occupied(atol=0.0):
-        if m + n > n_max:  # unreachable for validated inputs, guards the rewrite
-            raise TruncationOverflowError("rotation input exceeds the truncation")
         scale = value / math.sqrt(math.factorial(m) * math.factorial(n))
         for p in range(m + n + 1):
             q = m + n - p
@@ -194,18 +156,19 @@ def apply_rotation(state: FockState, rot: ModeRotation) -> FockState:
                     * m10**j
                     * m11 ** (n - j)
                 )
-            out[p, q] += scale * coeff * math.sqrt(math.factorial(p) * math.factorial(q))
-    return FockState(n_max, out)
+            term = scale * coeff * math.sqrt(math.factorial(p) * math.factorial(q))
+            out[p, q] = out.get((p, q), 0j) + term
+    return FockState(out)
 
 
 def coincidence_probability(state: FockState) -> float:
     """|amplitude(1, 1)|^2, the two-detector coincidence signal."""
-    return float(abs(state.amplitudes[1, 1]) ** 2)
+    return float(abs(state.amplitude(1, 1)) ** 2)
 
 
 def hong_ou_mandel_output() -> FockState:
-    """|1,1> through the 45-degree PBS: (|2,0> - |0,2>)/sqrt(2), on the n_max = 2 table."""
-    return apply_rotation(fock_basis(2, 1, 1), ModeRotation(math.pi / 4.0))
+    """|1,1> through the 45-degree PBS: (|2,0> - |0,2>)/sqrt(2)."""
+    return apply_rotation(fock_basis(1, 1), ModeRotation(math.pi / 4.0))
 
 
 def photon_atoms_entangle(noon1: FockState) -> StateVector:
@@ -215,18 +178,13 @@ def photon_atoms_entangle(noon1: FockState) -> StateVector:
     |0,1> -> |g,e| with qubit basis |0> = ground, |1> = excited.  The input
     must be unit norm with support only on (1,0) and (0,1).
     """
-    if noon1.n_max < 1:
-        raise ValueError("input truncation cannot hold a photon")
-    amp = noon1.amplitudes
     if abs(noon1.norm - 1.0) > AMPLITUDE_ATOL:
         raise ValueError("input state must be normalized")
-    support = np.zeros_like(amp, dtype=bool)
-    support[1, 0] = support[0, 1] = True
-    if np.abs(amp[~support]).max() > AMPLITUDE_ATOL:
+    if any((n_a, n_b) not in ((1, 0), (0, 1)) for n_a, n_b, _ in noon1.occupied()):
         raise ValueError("input is not a single-photon path superposition")
     atoms = np.zeros(4, dtype=complex)
-    atoms[2] = amp[1, 0]  # |e,g> = |1>|0>
-    atoms[1] = amp[0, 1]  # |g,e> = |0>|1>
+    atoms[2] = noon1.amplitude(1, 0)  # |e,g> = |1>|0>
+    atoms[1] = noon1.amplitude(0, 1)  # |g,e> = |0>|1>
     return StateVector((2, 2), atoms)
 
 
@@ -243,8 +201,4 @@ def fock_from_labeled_pair(pair: StateVector) -> FockState:
     if pair.dims != (2, 2):
         raise ValueError(f"expected a two-qubit labeled pair, got dims {pair.dims}")
     c = pair.amplitudes
-    amp = np.zeros((3, 3), dtype=complex)
-    amp[2, 0] = c[0]
-    amp[1, 1] = (c[1] + c[2]) / math.sqrt(2.0)
-    amp[0, 2] = c[3]
-    return FockState(2, amp)
+    return FockState({(2, 0): c[0], (1, 1): (c[1] + c[2]) / math.sqrt(2.0), (0, 2): c[3]})

@@ -120,6 +120,12 @@ class TestScenarioTables:
         payload = json.loads(out)
         assert abs(payload["meta"]["entanglement_entropy_bits"] - 1.0) < 1e-9
 
+    def test_noon_photon_number_has_no_cap(self, capsys):
+        code, out, err = run_cli(["noon", "--n", "1000000000"], capsys)
+        assert (code, err) == (0, "")
+        r = 1.0 / math.sqrt(2.0)
+        assert json.loads(out)["rows"] == [["|0,1000000000>", r, 0], ["|1000000000,0>", r, 0]]
+
     def test_popper_scenario(self, capsys):
         code, out, _ = run_cli(["popper", "--sigma-plus", "1.0", "--sigma-minus", "0.5"], capsys)
         assert code == 0
@@ -257,13 +263,6 @@ class TestErrorMessages:
         assert out == ""
         assert value in err
         assert "np." not in err
-
-    @pytest.mark.parametrize("argv", [["noon", "--n", "1025"]], ids=["noon"])
-    def test_fock_truncation_above_the_cap_exits_2(self, argv, capsys):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert f"MAX_N_MAX = {fock.MAX_N_MAX}" in err
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -682,12 +681,13 @@ def test_start_up_loads_only_what_a_scenario_uses():
 MALFORMED = ["", " ", "abc", "1,2", "0x10", "1e", "--", "1:2", "None"]
 NUMBERS = ["0", "-0", "1", "-1", "0.5", "22.5", "45", "90", "120", "-90", "1e-320", "1e300", "-1e300", "1.7976931348623157e308"]
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "1e400", "-1e400"]
-# small values, and the first value past each cap; --samples has no cap, so
-# its large value is the first count that derives two substreams
+# small values, and the first value past each cap; --samples and --n have no cap,
+# so the large --samples is the first count that derives two substreams, and the
+# large --n is a photon number of a billion
 COUNTS = {
     "--samples": [-1, 0, 1, 2, 3, 1000, hvmodels.SHARD_SAMPLES + 1],
     "--points": [-1, 0, 2, 4, 5, 64, popper.MAX_GRID_POINTS + 1],
-    "--n": [-1, 0, 1, 2, 3, 10, fock.MAX_N_MAX + 1],
+    "--n": [-1, 0, 1, 2, 3, 10, 10**9],
     "--seed": [-1, 0, 1, 17, 2026, 2**32 - 1, 2**32, 2**64, 10**30],
 }
 # the ends and steps draw scans of at most 13 points, or far more than the cap

@@ -9,9 +9,11 @@ their names, so the fixtures that moved are the ones listed.
 
 import contextlib
 import functools
+import importlib
 import io
 import os
 import pathlib
+import re
 import shlex
 import tempfile
 
@@ -20,6 +22,8 @@ import pytest
 from qfoundry import cli, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parents[1] / "README.md"
+MODULES = ("qcore", "hvmodels", "inequalities", "fock", "popper", "report", "verify", "cli")
 REPORT_SEEDS = (2026, 17, 99)
 # fixture name -> argv of one README example; an example that writes
 # ``--output FILE`` is pinned by FILE's bytes, and a CSV one also by FILE.meta.json
@@ -41,6 +45,7 @@ SCENARIO_EXAMPLES = {
     "scenario_chsh_singlet.json": ["chsh"],
     "scenario_hom.json": ["hom"],
     "scenario_noon.json": ["noon"],
+    "scenario_noon_n3.json": ["noon", "--n", "3"],
     "scenario_tlm.json": ["tlm"],
     "scenario_leggett_sharded.json": [
         "leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "3000001",
@@ -71,7 +76,7 @@ def cli_output(argv, suffix=""):
 
 def readme_examples():
     """argv of every ``qfoundry`` line in the README's example block, except ``verify``."""
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     return [argv[1:] for argv in lines if argv[:1] == ["qfoundry"] and argv[1:2] != ["verify"]]
@@ -92,6 +97,20 @@ def test_output_matches_golden_bytes(name, monkeypatch):
 
 def test_every_readme_example_is_pinned():
     assert sorted(readme_examples()) == sorted(README_EXAMPLES.values())
+
+
+def test_every_module_name_in_the_readme_exists():
+    # a backticked `module.NAME` for a qfoundry module must still resolve, so a
+    # constant or function that the code drops cannot linger in the README
+    pattern = rf"`({'|'.join(MODULES)})\.(\w+)`"
+    named = set(re.findall(pattern, README.read_text(encoding="utf-8")))
+    assert named
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"qfoundry.{module}"), name)
+    ]
+    assert missing == []
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Core linear algebra: containers, tensor products, reductions, Born rule."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import apply_unitary, kron_projector, measure_probability, random_state
 
-from qfoundry import fock, inequalities, qcore
+from qfoundry import fock, hvmodels, inequalities, popper, qcore
 from qfoundry.qcore import (
     DensityMatrix,
     MeasurementSetting,
@@ -327,14 +329,25 @@ def with_entry(values, index, bad):
     return values
 
 
-# each constructor with one finite input replaced by the given non-finite value
+# each constructor with one finite input replaced by the given non-finite value;
+# a key names the value type, and a suffix after "-" the input it breaks
 NON_FINITE_INPUTS = {
     "StateVector": lambda bad: StateVector((2,), [bad, 0.0]),
     "DensityMatrix-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 0), bad)),
     "DensityMatrix-off-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 1), bad)),
     "Observable": lambda bad: Observable(with_entry(np.eye(2), (1, 1), bad)),
     "projector_onto": lambda bad: qcore.projector_onto([bad, 1.0]),
+    "MeasurementSetting": lambda bad: MeasurementSetting([0.0, bad, 1.0]),
     "ModeRotation": lambda bad: fock.ModeRotation(bad),
+    "FockState-real": lambda bad: fock.FockState({(1, 0): bad, (0, 1): 0.5}),
+    "FockState-imaginary": lambda bad: fock.FockState({(1, 0): complex(0.5, bad)}),
+    "GaussianPairState-plus": lambda bad: popper.GaussianPairState(bad, 0.5),
+    "GaussianPairState-minus": lambda bad: popper.GaussianPairState(1.0, bad),
+    "SlitCondition-width": lambda bad: popper.SlitCondition(bad),
+    "SlitCondition-center": lambda bad: popper.SlitCondition(0.5, bad),
+    "GridSpec-extent": lambda bad: popper.GridSpec(64, bad),
+    "LocalHVTable": lambda bad: hvmodels.LocalHVTable(with_entry(np.full(8, 0.125), 3, bad)),
+    "CorrelationRecord": lambda bad: inequalities.CorrelationRecord(with_entry(np.zeros((2, 2)), (0, 1), bad)),
     "KcbsConfiguration-directions": lambda bad: inequalities.KcbsConfiguration(
         with_entry(PENTAGRAM.directions, (2, 0), bad), PENTAGRAM.state_direction
     ),
@@ -350,6 +363,8 @@ NON_FINITE_MESSAGES = {
     "DensityMatrix-off-diagonal": "matrix entries must be finite",
     "Observable": "matrix entries must be finite",
     "ModeRotation": "mode rotation angle must be finite, got -?(nan|inf)",
+    "FockState-real": "amplitudes must be finite",
+    "FockState-imaginary": "amplitudes must be finite",
 }
 
 
@@ -360,3 +375,16 @@ NON_FINITE_MESSAGES = {
 def test_value_types_refuse_non_finite_input(name, bad):
     with pytest.raises(ValueError, match=NON_FINITE_MESSAGES.get(name)):
         NON_FINITE_INPUTS[name](bad)
+
+
+def test_every_checked_value_type_is_in_the_non_finite_table():
+    checked = {name.split("-")[0] for name in NON_FINITE_INPUTS}
+    value_types = [
+        name
+        for module in (qcore, fock, popper, hvmodels, inequalities)
+        for name, value in vars(module).items()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+        and value.__module__ == module.__name__ and "__post_init__" in vars(value)
+    ]
+    assert value_types
+    assert sorted(set(value_types) - checked) == []
