@@ -203,8 +203,33 @@ def test_noon_state_validation():
     assert abs(state.amplitude(0, 5) - 1.0 / SQRT2) < 1e-15
 
 
+OLD_CAP = 1024  # the largest truncation the dense amplitude table allowed
+
+
+def raised_vacuum():
+    """The vacuum with mode a raised one photon past OLD_CAP."""
+    state = vacuum()
+    for _ in range(OLD_CAP + 1):
+        state = create(state, "a").normalized()
+    return state
+
+
+@pytest.mark.parametrize(
+    "make, occupied",
+    [
+        (raised_vacuum, [(OLD_CAP + 1, 0)]),
+        (lambda: fock_basis(10**9, 1), [(10**9, 1)]),
+        (lambda: noon_state(10**9), [(0, 10**9), (10**9, 0)]),
+    ],
+    ids=["vacuum", "fock_basis", "noon_state"],
+)
+def test_truncation_cap(make, occupied):
+    """No constructor caps the photon number; a state past the old cap stores only its occupied entries."""
+    state = make()
+    assert list(state.amplitudes) == occupied
+    assert abs(state.norm - 1.0) < 1e-15
+
+
 def test_memory_does_not_grow_with_photon_number():
     n = 10**9
-    assert list(noon_state(n).amplitudes) == [(0, n), (n, 0)]
-    assert list(fock_basis(n, 1).amplitudes) == [(n, 1)]
     assert create(fock_basis(n, 0), "a").amplitudes == {(n + 1, 0): math.sqrt(n + 1)}
