@@ -360,7 +360,7 @@ def _scenario_noon(args) -> ResultTable:
     rows = [(f"|{n_a},{n_b}>", amplitude.real, amplitude.imag) for n_a, n_b, amplitude in state.occupied()]
     extra = {}
     if args.n == 1:
-        atoms = fock.photon_atoms_entangle(fock.noon_state(1))
+        atoms = fock.photon_atoms_entangle(state)
         for label, amplitude in zip(["|gg>", "|ge>", "|eg>", "|ee>"], atoms.amplitudes):
             rows.append((label, float(amplitude.real), float(amplitude.imag)))
         reduced = qcore.partial_trace(atoms.density(), 0)

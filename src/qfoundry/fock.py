@@ -65,10 +65,12 @@ class FockState:
     def amplitude(self, n_a: int, n_b: int) -> complex:
         return self.amplitudes.get((n_a, n_b), 0j)
 
-    def total_number_distribution(self) -> np.ndarray:
-        """Probability of each total photon number, indexed by it (assumes unit norm)."""
-        totals = [n_a + n_b for n_a, n_b in self.amplitudes]
-        return np.bincount(totals, weights=[abs(value) ** 2 for value in self.amplitudes.values()])
+    def total_number_distribution(self) -> dict[int, float]:
+        """{total photon number: probability}, ascending (assumes unit norm); sums in entry order as np.bincount."""
+        distribution = {}
+        for (n_a, n_b), value in self.amplitudes.items():
+            distribution[n_a + n_b] = distribution.get(n_a + n_b, 0.0) + abs(value) ** 2
+        return dict(sorted(distribution.items()))
 
     def occupied(self, atol: float = AMPLITUDE_ATOL):
         """Yield (n_a, n_b, amplitude) for entries above ``atol``."""
@@ -138,8 +140,7 @@ def apply_rotation(state: FockState, rot: ModeRotation) -> FockState:
     of (a+)^m (b+)^n under the mode transform; total photon number and norm
     are preserved.
     """
-    m00, m01 = rot.matrix[0]
-    m10, m11 = rot.matrix[1]
+    (m00, m01), (m10, m11) = rot.matrix
     out = {}
     for m, n, value in state.occupied(atol=0.0):
         scale = value / math.sqrt(math.factorial(m) * math.factorial(n))

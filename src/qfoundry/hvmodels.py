@@ -2,10 +2,10 @@
 
 Three models live here:
 
-* the local half-plane polarization model: :func:`poincare_lambda`
-  pre-assigns the +-1 outcome of a transverse polarization measurement from
-  the azimuth of the polarization vector, and :func:`poincare_outcome`
-  applies it to a setting for a hidden variable uniform on [0, 1];
+* the local half-plane polarization model: :func:`poincare_outcome`
+  pre-assigns the +-1 outcome of a transverse polarization measurement at a
+  setting from the azimuth 2 pi lambda of the polarization vector, for a
+  hidden variable lambda uniform on [0, 1];
 * the exhaustive local-hidden-variable table over three polarizer settings
   (:class:`LocalHVTable`), whose same-outcome probability is bounded below
   by 1/3 for every weighting of the eight deterministic rows;
@@ -26,8 +26,9 @@ Three models live here:
   region :class:`ModelInconsistentError` is raised.
 
 The outcome rules :func:`poincare_outcome` and :func:`leggett_outcomes` take
-arrays of lambda and are the models' only definitions; the tests use the latter
-as the sampler's oracle, evaluated on the same lambda stream.
+arrays of lambda, refuse any lambda outside [0, 1] (NaN included), and are
+the models' only definitions; the tests use the latter as the sampler's
+oracle, evaluated on the same lambda stream.
 Interval ties (lambda exactly at a threshold) resolve to the first listed
 case, i.e. toward +1; the tie set has measure zero under the uniform density
 and probability at most 2^-32 per draw on the sampler's grid.
@@ -90,18 +91,6 @@ SETTING_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (2, 0))
 
 class ModelInconsistentError(ValueError):
     """The crypto-nonlocal model has no valid outcome intervals here."""
-
-
-def poincare_lambda(phi: float) -> int:
-    """Pre-assigned transverse polarization sign for azimuth ``phi``.
-
-    +1 on the closed upper half-plane [0, pi], -1 on (pi, 2*pi); the
-    boundary phi = pi belongs to the first case.
-    """
-    phi = float(phi)
-    if not 0.0 <= phi < 2.0 * np.pi:
-        raise ValueError(f"phi = {phi!r} outside [0, 2*pi)")
-    return +1 if phi <= np.pi else -1
 
 
 def row_same_fraction(row: tuple[int, int, int]) -> Fraction:
@@ -208,14 +197,23 @@ def _require_consistent(params: LeggettModelParams) -> None:
         )
 
 
+def _hidden_variable(lam) -> np.ndarray:
+    """``lam`` as a float array, refused unless every value lies in [0, 1] (NaN is outside too)."""
+    lam = np.asarray(lam, dtype=float)
+    outside = ~((lam >= 0.0) & (lam <= 1.0))
+    if outside.any():
+        raise ValueError(f"lambda = {float(lam[outside][0])!r} outside [0, 1]")
+    return lam
+
+
 def poincare_outcome(setting: MeasurementSetting, lam) -> np.ndarray:
     """Local rule: +-1 integer outcomes of ``lam``'s shape at one setting.
 
     Both photons carry the hidden vector w = (cos 2 pi lam, sin 2 pi lam, 0);
-    the outcome is the sign of w.setting, and ties give +1 as in the closed
-    upper half-plane of :func:`poincare_lambda`.
+    the outcome is the sign of w.setting, and ties give +1: at y-hat, +1 on
+    the closed upper half-plane 2 pi lam in [0, pi] and -1 on (pi, 2 pi).
     """
-    phi = 2.0 * np.pi * np.asarray(lam, dtype=float)
+    phi = 2.0 * np.pi * _hidden_variable(lam)
     x, y, _ = setting.direction
     return np.where(np.cos(phi) * x + np.sin(phi) * y >= 0.0, 1, -1)
 
@@ -225,10 +223,7 @@ def leggett_outcomes(params: LeggettModelParams, lam) -> tuple[np.ndarray, np.nd
 
     A = +1 on [0, lambda_A] and B = +1 on [x1, x2] (:func:`leggett_thresholds`).
     """
-    lam = np.asarray(lam, dtype=float)
-    outside = ~((lam >= 0.0) & (lam <= 1.0))  # NaN is outside too
-    if outside.any():
-        raise ValueError(f"lambda = {float(lam[outside][0])!r} outside [0, 1]")
+    lam = _hidden_variable(lam)
     _require_consistent(params)
     lambda_a, x1, x2 = leggett_thresholds(params)
     return np.where(lam <= lambda_a, 1, -1), np.where((x1 <= lam) & (lam <= x2), 1, -1)

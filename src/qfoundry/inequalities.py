@@ -9,9 +9,10 @@ four-probability non-separability argument for a two-degree-of-freedom
 single-particle state.
 
 Every quantum number produced here goes through the Born rule in
-:mod:`qfoundry.qcore`: the polarization and four-probability joint
+:mod:`qfoundry.qcore`: the polarization, four-probability and pentagram
 probabilities through :func:`qcore.product_probability`, one array call for
-a whole scan of angles, and correlators through :func:`qcore.expectation`.
+a whole scan of angles or all five pentagram directions, and the CHSH
+correlators through :func:`qcore.expectation`.
 Closed forms appear only as the bounds themselves, as documented
 cross-checks, or to choose the CHSH-optimal settings, which follow exactly
 from the singular values of the correlation matrix.  No code path here
@@ -232,8 +233,8 @@ class KcbsConfiguration:
         d = np.asarray(self.directions, dtype=float)
         if d.shape != (5, 3):
             raise ValueError(f"expected five 3-vectors, got shape {d.shape}")
-        norms = np.linalg.norm(d, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
+        # unit within qcore.ATOL in squared norm, as qcore.product_probability checks its kets
+        if not np.max(np.abs(np.sum(d * d, axis=1) - 1.0)) <= qcore.ATOL:
             raise ValueError("projection directions must be unit vectors")
         for j in range(5):
             dot = float(d[j] @ d[(j + 1) % 5])
@@ -243,7 +244,7 @@ class KcbsConfiguration:
                     f"(dot = {dot!r}); the measurements are incompatible"
                 )
         psi = np.asarray(self.state_direction, dtype=float).reshape(-1)
-        if psi.size != 3 or not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:
+        if psi.size != 3 or not abs(float(np.sum(psi * psi)) - 1.0) <= qcore.ATOL:
             raise ValueError("state direction must be a unit 3-vector")
         d.setflags(write=False)
         psi.setflags(write=False)
@@ -277,19 +278,13 @@ def kcbs_build_pentagram() -> KcbsConfiguration:
 
 
 def kcbs_value(config: KcbsConfiguration) -> float:
-    """Sum of adjacent-pair correlations of the +-1 observables I - 2|l><l|."""
-    psi = StateVector((3,), config.state_direction.astype(complex))
-    observables = [
-        Observable(np.eye(3, dtype=complex) - 2.0 * qcore.projector_onto(config.directions[j]).matrix,
-                   label=f"A_{j}")
-        for j in range(5)
-    ]
-    total = 0.0
-    for j in range(5):
-        product = observables[j].matrix @ observables[(j + 1) % 5].matrix
-        # adjacent observables commute, so the product is Hermitian
-        total += qcore.expectation(psi, Observable(product, label=f"A_{j}A_{(j + 1) % 5}"))
-    return total
+    """Sum of adjacent-pair correlations <A_j A_j+1> of the +-1 observables A_j = I - 2|l_j><l_j|.
+
+    Adjacent directions are orthogonal, so A_j A_j+1 = I - 2 P_j - 2 P_j+1 and the sum is
+    5 - 4 sum_j |<l_j|psi>|^2: one Born call, the qutrit the first party of a 3x1 two-party state.
+    """
+    p = qcore.product_probability(config.state_direction.reshape(3, 1), config.directions, [1.0])
+    return 5.0 - 4.0 * float(np.sum(p))
 
 
 def kcbs_classical_assignment_values() -> np.ndarray:

@@ -234,16 +234,6 @@ def basis_state(dims: tuple[int, ...], occupation: tuple[int, ...]) -> StateVect
     return StateVector(dims, amplitudes)
 
 
-def projector_onto(ket, label: str = "") -> Observable:
-    """Rank-1 projector |ket><ket| (input need not be normalized)."""
-    k = np.asarray(ket, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(k)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"cannot project onto {k.tolist()!r}: need finite components, not all zero")
-    k = k / norm
-    return Observable(np.outer(k, k.conj()), label=label or "projector")
-
-
 def singlet() -> StateVector:
     """The rotationally invariant two-qubit state (|01> - |10>)/sqrt(2)."""
     amplitudes = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)

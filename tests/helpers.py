@@ -7,8 +7,11 @@ one validated dense projector.  ``hardy_probabilities_oracle`` and
 one angle at a time, each probability <psi|P|psi> of a 4x4 projector built
 as a Kronecker product, with the kets from their defining formulas.  They
 skip ``measure_probability``'s checks, which cost about 40 us a call, so
-that a 9 001-angle grid takes about a second.  The array kernel
-``qcore.product_probability`` and its callers are checked against these.
+that a 9 001-angle grid takes about a second.  ``kcbs_value_oracle`` is
+the former ``inequalities.kcbs_value``: the sum of <psi|A_j A_j+1|psi> over
+dense products of the validated 3x3 observables A_j = I - 2|l_j><l_j|.  The
+array kernel ``qcore.product_probability`` and its callers are checked
+against these.
 """
 
 import math
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from qfoundry import qcore
-from qfoundry.qcore import StateVector
+from qfoundry.qcore import Observable, StateVector
 
 PROJECTOR_ATOL = 1e-10
 
@@ -58,6 +61,13 @@ def kron_projector(ket_a, ket_b):
 def born_value(amplitudes, projector):
     """<psi|P|psi>: ``measure_probability``'s value without its checks, for the per-point grid oracles."""
     return float(np.real(amplitudes.conj() @ (projector @ amplitudes)))
+
+
+def projector(ket):
+    """The rank-1 projector |k><k| onto the normalized ``ket``, as an Observable."""
+    k = np.asarray(ket, dtype=complex).reshape(-1)
+    k = k / np.linalg.norm(k)
+    return Observable(np.outer(k, k.conj()), label="projector")
 
 
 def measure_probability(state, projector):
@@ -111,3 +121,18 @@ def polarization_oracle(theta):
     p_both_pass = born_value(psi, kron(pass_1, pass_2))
     p_both_block = born_value(psi, kron(np.eye(2) - pass_1, np.eye(2) - pass_2))
     return p_both_pass + p_both_block, p_both_pass
+
+
+def kcbs_value_oracle(config):
+    """sum_j <psi|A_j A_j+1|psi> of the +-1 observables A_j = I - 2|l_j><l_j|, one dense product per pair."""
+    psi = StateVector((3,), config.state_direction.astype(complex))
+    observables = [
+        Observable(np.eye(3, dtype=complex) - 2.0 * projector(direction).matrix, label=f"A_{j}")
+        for j, direction in enumerate(config.directions)
+    ]
+    total = 0.0
+    for j in range(5):
+        product = observables[j].matrix @ observables[(j + 1) % 5].matrix
+        # adjacent observables commute, so the product is Hermitian
+        total += qcore.expectation(psi, Observable(product, label=f"A_{j}A_{(j + 1) % 5}"))
+    return total

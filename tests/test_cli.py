@@ -654,8 +654,10 @@ def test_every_command_runs_with_scipy_unimportable(tmp_path):
 
 
 def test_start_up_loads_only_what_a_scenario_uses():
-    # only the verify subcommand needs qfoundry.verify, its hashlib (OpenSSL) and check 4's
-    # thread pool (concurrent.futures pulls in logging); a bare package import loads no submodule
+    # only the verify subcommand needs qfoundry.verify and its hashlib (OpenSSL); no module
+    # imports concurrent.futures (check 4 runs on hvmodels.parallel_map, plain threading), and
+    # the name stays in the list as a guard against one that would pull it, and logging, into
+    # start-up; a bare package import loads no submodule
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys

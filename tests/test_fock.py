@@ -63,8 +63,20 @@ class TestFockState:
     def test_total_number_distribution(self):
         state = noon_state(3)
         dist = state.total_number_distribution()
+        assert list(dist) == [3]
         assert abs(dist[3] - 1.0) < 1e-12
-        assert abs(dist.sum() - 1.0) < 1e-12
+        assert abs(sum(dist.values()) - 1.0) < 1e-12
+
+    def test_total_number_distribution_holds_only_occupied_totals(self):
+        # a map over the occupied totals in ascending order, whatever the photon number
+        assert list(noon_state(10**6).total_number_distribution()) == [10**6]
+        mixed = FockState({(2, 1): 0.6, (0, 1): 0.48, (1, 0): 0.64})
+        dist = mixed.total_number_distribution()
+        assert list(dist) == [1, 3]
+        # the sums of the dense np.bincount table, byte for byte
+        totals = [n_a + n_b for n_a, n_b in mixed.amplitudes]
+        dense = np.bincount(totals, weights=[abs(value) ** 2 for value in mixed.amplitudes.values()])
+        assert dist == {1: dense[1], 3: dense[3]}
 
 
 class TestCreate:
@@ -118,11 +130,9 @@ class TestModeRotation:
             rot = ModeRotation(rng.uniform(0.0, np.pi))
             rotated = apply_rotation(state, rot)
             assert abs(rotated.norm - 1.0) < 1e-12
-            np.testing.assert_allclose(
-                rotated.total_number_distribution(),
-                state.total_number_distribution(),
-                atol=1e-12,
-            )
+            before, after = state.total_number_distribution(), rotated.total_number_distribution()
+            assert list(after) == list(before)
+            np.testing.assert_allclose(list(after.values()), list(before.values()), atol=1e-12)
 
     def test_rotation_is_its_own_inverse(self):
         rng = np.random.default_rng(83)

@@ -23,7 +23,6 @@ from qfoundry.hvmodels import (
     leggett_outcomes,
     lhv_minimum_same_probability,
     lhv_same_probability,
-    poincare_lambda,
     poincare_outcome,
     row_same_fraction,
 )
@@ -39,21 +38,25 @@ def in_plane_params(theta_a=0.0, theta_b=0.0):
 
 
 class TestPoincareLambda:
+    """The half-plane rule poincare_outcome at y-hat, as a function of its hidden variable: azimuth 2 pi lambda."""
+
+    Y = MeasurementSetting([0.0, 1.0, 0.0])
+
     def test_upper_half_plane(self):
-        assert poincare_lambda(np.pi / 2.0) == +1
+        assert poincare_outcome(self.Y, 0.25) == +1
 
     def test_lower_half_plane(self):
-        assert poincare_lambda(3.0 * np.pi / 2.0) == -1
+        assert poincare_outcome(self.Y, 0.75) == -1
 
     def test_boundaries_belong_to_first_case(self):
-        assert poincare_lambda(0.0) == +1
-        assert poincare_lambda(np.pi) == +1
+        assert poincare_outcome(self.Y, 0.0) == +1
+        assert poincare_outcome(self.Y, 0.5) == +1
 
     def test_domain_check(self):
-        with pytest.raises(ValueError):
-            poincare_lambda(2.0 * np.pi)
-        with pytest.raises(ValueError):
-            poincare_lambda(-0.1)
+        # the lambda check of leggett_outcomes, NaN included
+        for bad in (-0.1, 1.1, np.nan):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                poincare_outcome(self.Y, bad)
 
 
 class TestLocalHVTable:
@@ -513,7 +516,8 @@ class TestOutcomeRules:
 
     def test_local_rule_reproduces_half_plane_assignment(self):
         lambdas = np.linspace(0.0, 0.9999, 500)
-        expected = [poincare_lambda(2.0 * np.pi * lam) for lam in lambdas]
+        # +1 on the closed upper half-plane: azimuth 2 pi lambda in [0, pi]
+        expected = [+1 if lam <= 0.5 else -1 for lam in lambdas]
         assert poincare_outcome(self.Y, lambdas).tolist() == expected
 
     def test_rule_outcomes_are_binary(self):

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from helpers import hardy_probabilities_oracle, polarization_oracle, random_state
+from helpers import hardy_probabilities_oracle, kcbs_value_oracle, polarization_oracle, random_state
 
 from qfoundry import inequalities as ineq
 from qfoundry import qcore, verify
@@ -180,6 +180,11 @@ AMPLITUDE_PARTS = st.lists(
     st.floats(-1.0, 1.0, allow_subnormal=False), min_size=8, max_size=8
 ).filter(lambda parts: math.hypot(*parts) > 1e-3)
 
+UNIT_VECTORS = st.lists(
+    st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=3
+).filter(lambda parts: math.hypot(*parts) > 1e-3)
+
+
 
 class TestChshProperties:
     @settings(max_examples=200, deadline=None)
@@ -312,6 +317,46 @@ class TestKcbs:
         value = kcbs_value(kcbs_build_pentagram())
         assert abs(value - (5.0 - 4.0 * math.sqrt(5.0))) < 1e-9
         assert abs(value - (-3.9442719099991588)) < 1e-9
+        assert value == ineq.KCBS_QUANTUM_VALUE
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(UNIT_VECTORS, min_size=5, max_size=5))
+    def test_closed_form_matches_the_observable_product_oracle(self, vectors):
+        # l1 _|_ l0, l2 _|_ l1, l3 _|_ l2 by one Gram-Schmidt step each, l4 = l3 x l0, and a random psi
+        raw = [np.array(v) for v in vectors]
+        directions = [raw[0] / np.linalg.norm(raw[0])]
+        for v in raw[1:4]:
+            residual = v - (v @ directions[-1]) * directions[-1]
+            assume(np.linalg.norm(residual) > 0.1)
+            directions.append(residual / np.linalg.norm(residual))
+        cross = np.cross(directions[3], directions[0])
+        assume(np.linalg.norm(cross) > 0.1)
+        directions.append(cross / np.linalg.norm(cross))
+        config = KcbsConfiguration(np.stack(directions), raw[4] / np.linalg.norm(raw[4]))
+        # the closed form drops the 4 <P_j P_j+1> cross terms, each at most 4 |l_j . l_j+1|
+        bound = 20.0 * config.max_adjacent_dot() + 1e-14
+        assert abs(kcbs_value(config) - kcbs_value_oracle(config)) <= bound
+
+    @pytest.mark.parametrize("which", ["direction", "state"])
+    def test_unit_norm_is_checked_in_squared_norm_within_atol(self, which):
+        # the type's norm rule is the Born kernel's: |v|^2 within qcore.ATOL of 1
+        pentagram = kcbs_build_pentagram()
+
+        def stretched(norm_sq_excess):
+            directions, psi = pentagram.directions.copy(), pentagram.state_direction.copy()
+            scale = math.sqrt(1.0 + norm_sq_excess)
+            if which == "direction":
+                directions[2] *= scale
+            else:
+                psi *= scale
+            return directions, psi
+
+        # 1.8e-12 is a norm of 1 + 0.9e-12, which a rule on |v| within 1e-12 would take and the kernel refuse
+        for excess in (1.8e-12, 2e-12):
+            with pytest.raises(ValueError, match="unit"):
+                KcbsConfiguration(*stretched(excess))
+        value = kcbs_value(KcbsConfiguration(*stretched(0.5e-12)))
+        assert abs(value - ineq.KCBS_QUANTUM_VALUE) < 1e-11
 
     def test_classical_minimum_is_exactly_minus_three(self):
         assert kcbs_classical_minimum() == -3
@@ -464,11 +509,6 @@ def tlm_loop_oracle(c):
             total += math.sqrt(max(0.0, 1.0 - t[0, j] ** 2) * max(0.0, 1.0 - t[1, j] ** 2))
         rhs[index] = total
     return lhs, rhs
-
-
-UNIT_VECTORS = st.lists(
-    st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=3
-).filter(lambda parts: math.hypot(*parts) > 1e-3)
 
 
 class TestTlmKernel:

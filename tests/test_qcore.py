@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import apply_unitary, kron_projector, measure_probability, random_state
+from helpers import apply_unitary, kron_projector, measure_probability, projector, random_state
 
 from qfoundry import fock, hvmodels, inequalities, popper, qcore
 from qfoundry.qcore import (
@@ -159,7 +159,7 @@ class TestPartialTrace:
 class TestBornRule:
     def test_eigenstate_probability_one(self):
         up = basis_state((2,), (0,))
-        p = measure_probability(up, qcore.projector_onto([1.0, 0.0]))
+        p = measure_probability(up, projector([1.0, 0.0]))
         assert abs(p - 1.0) < 1e-12
 
     def test_singlet_joint_antibunching(self):
@@ -175,7 +175,7 @@ class TestBornRule:
             a, b = rng.uniform(0.0, 2.0 * np.pi, size=2)
             ket = np.kron([np.cos(a), np.sin(a)], [np.cos(b), np.sin(b)]).astype(complex)
             oracle = abs(ket.conj() @ pair.amplitudes) ** 2
-            proj = qcore.projector_onto(ket)
+            proj = projector(ket)
             assert abs(measure_probability(pair, proj) - oracle) < 1e-12
             assert abs(oracle - 0.5 * np.cos(a - b) ** 2) < 1e-12
 
@@ -189,7 +189,7 @@ class TestBornRule:
             state = random_state((dim,), rng)
             u = haar_unitary(dim, rng)
             total = sum(
-                measure_probability(state, qcore.projector_onto(u[:, k])) for k in range(dim)
+                measure_probability(state, projector(u[:, k])) for k in range(dim)
             )
             assert abs(total - 1.0) < 1e-10
 
@@ -209,10 +209,10 @@ class TestProductProbability:
         batch = product_probability(np.stack([s.amplitudes.reshape(dims) for s in states]), kets_a, kets_b)
         assert batch.shape == (trials,)
         for state, ket_a, ket_b, value in zip(states, kets_a, kets_b, batch):
-            projector = kron_projector(ket_a, ket_b)
+            product = kron_projector(ket_a, ket_b)
             dense = np.kron(np.outer(ket_a, ket_a.conj()), np.outer(ket_b, ket_b.conj()))
-            np.testing.assert_array_equal(projector, dense)
-            assert abs(value - measure_probability(state, Observable(projector))) <= 1e-15
+            np.testing.assert_array_equal(product, dense)
+            assert abs(value - measure_probability(state, Observable(product))) <= 1e-15
 
     def test_leading_axes_broadcast(self):
         rng = np.random.default_rng(43)
@@ -315,7 +315,7 @@ def test_qutrit_support():
     state = random_state((3,), rng)
     u = haar_unitary(3, rng)
     probabilities = [
-        measure_probability(state, qcore.projector_onto(u[:, k])) for k in range(3)
+        measure_probability(state, projector(u[:, k])) for k in range(3)
     ]
     assert abs(sum(probabilities) - 1.0) < 1e-10
 
@@ -336,7 +336,6 @@ NON_FINITE_INPUTS = {
     "DensityMatrix-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 0), bad)),
     "DensityMatrix-off-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 1), bad)),
     "Observable": lambda bad: Observable(with_entry(np.eye(2), (1, 1), bad)),
-    "projector_onto": lambda bad: qcore.projector_onto([bad, 1.0]),
     "MeasurementSetting": lambda bad: MeasurementSetting([0.0, bad, 1.0]),
     "ModeRotation": lambda bad: fock.ModeRotation(bad),
     "FockState-real": lambda bad: fock.FockState({(1, 0): bad, (0, 1): 0.5}),
