@@ -31,7 +31,8 @@ the models' only definitions; the tests use the latter as the sampler's
 oracle, evaluated on the same lambda stream.
 Interval ties (lambda exactly at a threshold) resolve to the first listed
 case, i.e. toward +1; the tie set has measure zero under the uniform density
-and probability at most 2^-32 per draw on the sampler's grid.
+and probability at most 2^-32 per draw on the sampler's grid.  The half-plane
+rule's ties, exact at quarter turns of lambda, give +1 as well.
 
 The Monte Carlo path of :func:`leggett_expectations` draws the hidden
 variable as lambda = k / 2^32 for a uniform 32-bit k, two per raw 64-bit
@@ -211,11 +212,16 @@ def poincare_outcome(setting: MeasurementSetting, lam) -> np.ndarray:
 
     Both photons carry the hidden vector w = (cos 2 pi lam, sin 2 pi lam, 0);
     the outcome is the sign of w.setting, and ties give +1: at y-hat, +1 on
-    the closed upper half-plane 2 pi lam in [0, pi] and -1 on (pi, 2 pi).
+    the closed upper half-plane 2 pi lam in [0, pi] and -1 on (pi, 2 pi); lam = 1
+    gives the outcome of lam = 0.  w turns (cos, sin) of the rest by whole quarter
+    turns, so a tie at a multiple of pi/2 does not hang on the rounding of pi.
     """
-    phi = 2.0 * np.pi * _hidden_variable(lam)
+    turns, rest = np.divmod(4.0 * _hidden_variable(lam), 1.0)
+    c, s = np.cos(0.5 * np.pi * rest), np.sin(0.5 * np.pi * rest)
+    quarter = turns.astype(int) % 4
     x, y, _ = setting.direction
-    return np.where(np.cos(phi) * x + np.sin(phi) * y >= 0.0, 1, -1)
+    w_x, w_y = np.choose(quarter, (c, -s, -c, s)), np.choose(quarter, (s, c, -s, -c))
+    return np.where(w_x * x + w_y * y >= 0.0, 1, -1)
 
 
 def leggett_outcomes(params: LeggettModelParams, lam) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,9 @@ f(s) = exp(-s^2 / (4 sigma_plus^2)) and g(d) = exp(-d^2 / (4 sigma_minus^2)),
 so the N x N double sum reduces to one sum over grid diagonals of g times
 windows of prefix sums of f: O(N) time and memory.
 
-psi_2 is one O(N log N) FFT convolution over every grid row: with b = |beta|,
+One call may condition many slits on one grid: the norm check and the kernel
+spectrum are shared, and each slit's psi_2 is one row of a batched O(N log N)
+FFT convolution that drops no grid point: with b = |beta|,
 exp(-beta x1 x2) = exp(b (x1^2 + x2^2) / 2) exp(-b (x1 -+ x2)^2 / 2) (the i*j split
 of Bluestein's chirp-z transform), and the first factor joins the envelope in the
 damping exp(-(alpha - b/2) x^2), alpha - b/2 > 0.  Grids hold at most MAX_GRID_POINTS.
@@ -213,67 +215,75 @@ def _grid_norm_drift(state: GaussianPairState, x: np.ndarray, dx: float) -> floa
 
 
 def _conditional_wavefunction(
-    state: GaussianPairState, slit: SlitCondition, x: np.ndarray, dx: float
+    state: GaussianPairState, slits, x: np.ndarray, dx: float
 ) -> np.ndarray:
-    """Normalized psi_2 as one zero-padded rfft/irfft convolution; see the module docstring.
+    """Normalized psi_2 of each slit, one row each, from one zero-padded rfft/irfft; see the module docstring.
 
-    exp(-beta x1 x2) = exp(b (x1^2 + x2^2) / 2) exp(-b (x1 -+ x2)^2 / 2) with b = |beta|; the
-    damping exp(-(alpha - b/2) x^2), alpha - b/2 > 0, weights the slit profile and the output.
-    No row is dropped: O(N log N) time and O(N) memory.
+    The damping exp(-(alpha - |beta|/2) x^2) weights the slit profiles and the output; the
+    slits share one kernel spectrum.  O(N log N) time and O(N) memory per slit.
     """
     alpha, beta = state.exponent_coefficients()
     damping = np.exp(-(alpha - 0.5 * abs(beta)) * x * x)
-    source = slit.amplitude_profile(x) * damping
-    if source.max() == 0.0:
-        raise ValueError("slit aperture does not overlap the grid")
+    source = np.array([slit.amplitude_profile(x) for slit in slits]) * damping
+    empty = source.max(axis=1) == 0.0
+    if empty.any():
+        where = f" (slit of width {slits[int(np.argmax(empty))].width:.6g})" if len(slits) > 1 else ""
+        raise ValueError("slit aperture does not overlap the grid" + where)
     n = x.size
     if beta > 0.0:  # g of x1 + x2 = 2 x_0 + (i + j) dx: convolve the reversed source
-        source, u = source[::-1], 2.0 * x[0] + dx * np.arange(2 * n - 1)
+        source, u = source[:, ::-1], 2.0 * x[0] + dx * np.arange(2 * n - 1)
     else:  # g of x1 - x2 = (j - i) dx
         u = dx * np.arange(1 - n, n)
     size = 1 << (2 * n - 2).bit_length()  # >= 2N - 1, so the slice below does not wrap
     spectrum = np.fft.rfft(source, size) * np.fft.rfft(np.exp(-0.5 * abs(beta) * u * u), size)
-    psi2 = np.fft.irfft(spectrum, size)[n - 1 : 2 * n - 1] * damping * dx * state.normalization
-    norm = math.sqrt(float(np.sum(psi2 * psi2)) * dx)
-    if norm == 0.0:
+    psi2 = np.fft.irfft(spectrum, size)[:, n - 1 : 2 * n - 1] * damping * dx * state.normalization
+    norm = np.sqrt(np.sum(psi2 * psi2, axis=1) * dx)
+    if not norm.all():
         raise ValueError("conditional wavefunction vanishes on the grid")
-    return psi2 / norm
+    return psi2 / norm[:, None]
 
 
-def _moments(x: np.ndarray, density: np.ndarray, dx: float) -> float:
-    total = float(np.sum(density)) * dx
-    mean = float(np.sum(x * density)) * dx / total
-    second = float(np.sum(x * x * density)) * dx / total
-    return math.sqrt(max(0.0, second - mean * mean))
+def _moments(x: np.ndarray, density: np.ndarray, dx: float) -> np.ndarray:
+    total = np.sum(density, axis=-1) * dx
+    mean = np.sum(x * density, axis=-1) * dx / total
+    second = np.sum(x * x * density, axis=-1) * dx / total
+    return np.sqrt(np.maximum(0.0, second - mean * mean))
 
 
-def _momentum_spread(psi: np.ndarray, dx: float) -> float:
-    n = psi.size
+def _momentum_spread(psi: np.ndarray, dx: float) -> np.ndarray:
+    n = psi.shape[-1]
     transform = np.fft.fft(psi) * dx / math.sqrt(2.0 * math.pi)
     p = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     dp = 2.0 * np.pi / (n * dx)
     return _moments(p, np.abs(transform) ** 2, dp)
 
 
-def conditional_uncertainties(
-    state: GaussianPairState, slit: SlitCondition, grid: GridSpec
-) -> UncertaintyReport:
+def conditional_uncertainties(state: GaussianPairState, slit, grid: GridSpec):
     """Spreads of particle 2 after particle 1 is projected onto the slit.
+
+    ``slit`` is one :class:`SlitCondition`, giving one :class:`UncertaintyReport`,
+    or a sequence of slits that resolve to one grid, giving a tuple with a report
+    per slit.  A batch checks the norm drift once and conditions every slit in one
+    pass; each report has the bytes of its single-slit call.
 
     Raises :class:`UnderResolvedGridError` when the grid has fewer than 16
     points per smallest length scale or when the discrete norm of the pair
     state drifts from 1 by more than 1e-6.
     """
-    x, dx = grid.resolve(state, slit)
-    _check_resolution(state, slit, dx)
+    slits = (slit,) if isinstance(slit, SlitCondition) else tuple(slit)
+    if len({grid.extent or _auto_extent(state, s) for s in slits}) != 1:
+        raise ValueError("the slits of one call must resolve to one grid (a GridSpec extent, or equal |center|)")
+    x, dx = grid.resolve(state, slits[0])
+    _check_resolution(state, min(slits, key=lambda s: s.width), dx)
     drift = _grid_norm_drift(state, x, dx)
     if drift > _NORM_DRIFT_TOL:
         raise UnderResolvedGridError(
             f"discrete norm drift {drift:.3g} exceeds {_NORM_DRIFT_TOL}; "
             "grid extent or spacing is insufficient"
         )
-    psi2 = _conditional_wavefunction(state, slit, x, dx)
-    return UncertaintyReport(_moments(x, psi2 * psi2, dx), _momentum_spread(psi2, dx))
+    psi2 = _conditional_wavefunction(state, slits, x, dx)
+    reports = tuple(map(UncertaintyReport, _moments(x, psi2 * psi2, dx).tolist(), _momentum_spread(psi2, dx).tolist()))
+    return reports[0] if isinstance(slit, SlitCondition) else reports
 
 
 def unconditioned_uncertainties(state: GaussianPairState) -> UncertaintyReport:

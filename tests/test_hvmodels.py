@@ -40,6 +40,7 @@ def in_plane_params(theta_a=0.0, theta_b=0.0):
 class TestPoincareLambda:
     """The half-plane rule poincare_outcome at y-hat, as a function of its hidden variable: azimuth 2 pi lambda."""
 
+    X = MeasurementSetting([1.0, 0.0, 0.0])
     Y = MeasurementSetting([0.0, 1.0, 0.0])
 
     def test_upper_half_plane(self):
@@ -51,6 +52,14 @@ class TestPoincareLambda:
     def test_boundaries_belong_to_first_case(self):
         assert poincare_outcome(self.Y, 0.0) == +1
         assert poincare_outcome(self.Y, 0.5) == +1
+
+    def test_quarter_turns_at_x_and_y(self):
+        # w perpendicular to the setting is a tie and gives +1 (x-hat at 1/4 and 3/4,
+        # y-hat at 0, 1/2 and 1); lambda = 1 is the azimuth of lambda = 0
+        quarters = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for setting, expected in ((self.X, [1, 1, -1, 1, 1]), (self.Y, [1, 1, 1, -1, 1])):
+            assert poincare_outcome(setting, quarters).tolist() == expected
+            assert [int(poincare_outcome(setting, lam)) for lam in quarters] == expected
 
     def test_domain_check(self):
         # the lambda check of leggett_outcomes, NaN included

@@ -322,26 +322,34 @@ def _kernel_cases():
 
 class TestConditionalKernel:
     def test_matches_dense_oracle(self):
+        # the slits of _kernel_cases that share a grid go in one batch, each row against its oracle
         cases = list(_kernel_cases())
         assert {np.sign(state.exponent_coefficients()[1]) for state, _, _ in cases} == {-1.0, 0.0, 1.0}
+        batches = {}
         for state, slit, spec in cases:
+            batches.setdefault((state, spec), []).append(slit)
+        assert max(len(slits) for slits in batches.values()) > 1
+        for (state, spec), slits in batches.items():
             assert spec.points <= 8192
-            x, dx = spec.resolve(state, slit)
-            psi = popper._conditional_wavefunction(state, slit, x, dx)
-            oracle = dense_conditional_oracle(state, slit, x, dx)
-            assert np.max(np.abs(psi - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+            x, dx = spec.resolve(state, slits[0])
+            psis = popper._conditional_wavefunction(state, slits, x, dx)
+            assert psis.shape == (len(slits), x.size)
+            for slit, psi in zip(slits, psis):
+                oracle = dense_conditional_oracle(state, slit, x, dx)
+                assert np.max(np.abs(psi - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_gaussian_slit_matches_grid_free_kappa(self):
-        # on every state and width of the acceptance battery, centred and off centre
+        # on every state and width of the acceptance battery, centred and off centre:
+        # one batch of the five widths per state and centre, on the narrowest width's auto grid
         worst = 0.0
         for sp in verify.POPPER_SIGMAS:
             for sm in verify.POPPER_SIGMAS:
                 state = GaussianPairState(sp, sm)
-                for width in verify.POPPER_WIDTHS:
-                    kappa = gaussian_slit_kappa(state, width)
-                    for center in (0.0, 0.7):
-                        slit = SlitCondition(width, center)
-                        report = conditional_uncertainties(state, slit, GridSpec.auto(state, slit))
+                for center in (0.0, 0.7):
+                    slits = [SlitCondition(width, center) for width in verify.POPPER_WIDTHS]
+                    grid = GridSpec.auto(state, min(slits, key=lambda slit: slit.width))
+                    for slit, report in zip(slits, conditional_uncertainties(state, slits, grid)):
+                        kappa = gaussian_slit_kappa(state, slit.width)
                         dx_exact, dp_exact = 1.0 / (2.0 * math.sqrt(kappa)), math.sqrt(kappa)
                         worst = max(
                             worst,
@@ -356,9 +364,72 @@ class TestConditionalKernel:
         state = GaussianPairState(sp, sm)
         slit = SlitCondition(0.5)
         x, dx = GridSpec(1 << 16, extent=8.0).resolve(state, slit)
-        peak, psi = traced_peak(popper._conditional_wavefunction, state, slit, x, dx)
-        assert psi.shape == x.shape
+        peak, psi = traced_peak(popper._conditional_wavefunction, state, [slit], x, dx)
+        assert psi.shape == (1, x.size)
         assert peak < 16 * 1024 * 1024
+
+
+def _check_11_batches():
+    """(state, grid, slits) of the acceptance battery's popper check, grouped as it groups them."""
+    for sp in verify.POPPER_SIGMAS:
+        for sm in verify.POPPER_SIGMAS:
+            state = GaussianPairState(sp, sm)
+            batches = {}
+            for width in verify.POPPER_WIDTHS:
+                slit = SlitCondition(width)
+                grid = GridSpec.auto(state, slit, oversample=1.0)
+                for spec in (grid, GridSpec(grid.points * 2, grid.extent)):
+                    batches.setdefault(spec, []).append(slit)
+            for spec, slits in batches.items():
+                yield state, spec, slits
+
+
+class TestSlitBatch:
+    def test_check_11_batches_equal_the_single_slit_calls(self):
+        batches = list(_check_11_batches())
+        assert (len(batches), sum(len(slits) for _, _, slits in batches)) == (89, 250)
+        for state, spec, slits in batches:
+            reports = conditional_uncertainties(state, slits, spec)
+            assert reports == tuple(conditional_uncertainties(state, slit, spec) for slit in slits)
+
+    @pytest.mark.parametrize("sp,sm", [(1.0, 0.5), (0.5, 1.0), (0.8, 0.8)], ids=["beta<0", "beta>0", "beta=0"])
+    def test_hard_and_off_centre_slits_equal_the_single_slit_calls(self, sp, sm):
+        state = GaussianPairState(sp, sm)
+        slits = [SlitCondition(0.4), SlitCondition(0.9, 0.7, "hard"), SlitCondition(0.5, -1.5), SlitCondition(0.4)]
+        spec = GridSpec(4096, extent=12.0)
+        reports = conditional_uncertainties(state, slits, spec)
+        assert isinstance(reports, tuple) and reports[0] == reports[3]
+        assert reports == tuple(conditional_uncertainties(state, slit, spec) for slit in slits)
+        assert conditional_uncertainties(state, slits[:1], spec) == reports[:1]
+
+    def test_equal_offsets_share_the_auto_extent(self):
+        state = GaussianPairState(1.0, 0.6)
+        slits = [SlitCondition(0.4, 1.5), SlitCondition(0.4, -1.5)]
+        reports = conditional_uncertainties(state, slits, GridSpec(4096))
+        assert reports == tuple(conditional_uncertainties(state, slit, GridSpec(4096)) for slit in slits)
+
+    @pytest.mark.parametrize("slits", [[SlitCondition(0.4), SlitCondition(0.4, 1.5)], []], ids=["centres", "empty"])
+    def test_slits_on_different_grids_are_refused(self, slits):
+        with pytest.raises(ValueError, match=r"must resolve to one grid \(a GridSpec extent, or equal \|center\|\)"):
+            conditional_uncertainties(GaussianPairState(1.0, 0.5), slits, GridSpec(4096))
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_an_under_resolved_slit_anywhere_is_refused(self, where):
+        slits = [SlitCondition(0.5), SlitCondition(0.3)]
+        slits.insert(where, SlitCondition(0.05))
+        with pytest.raises(UnderResolvedGridError, match="smallest scale 0.05 / 16"):
+            conditional_uncertainties(GaussianPairState(1.0, 0.5), slits, GridSpec(256))
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_a_slit_off_the_grid_anywhere_is_refused(self, where):
+        slits = [SlitCondition(0.5, profile="hard"), SlitCondition(0.3, 2.0, "hard")]
+        slits.insert(where, SlitCondition(0.7, 50.0, "hard"))
+        with pytest.raises(ValueError, match=r"^slit aperture does not overlap the grid \(slit of width 0.7\)$") as caught:
+            conditional_uncertainties(GaussianPairState(1.0, 1.0), slits, GridSpec(2048, extent=8.0))
+        assert caught.type is ValueError
+        # the single-slit call keeps its message
+        with pytest.raises(ValueError, match="^slit aperture does not overlap the grid$"):
+            conditional_uncertainties(GaussianPairState(1.0, 1.0), slits[where], GridSpec(2048, extent=8.0))
 
 
 class TestGridBound:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfoundry import hvmodels, inequalities, qcore, verify
+from qfoundry import hvmodels, inequalities, popper, qcore, verify
 
 
 def test_tampered_kcbs_state_fails_with_reported_delta(monkeypatch):
@@ -109,7 +109,21 @@ def joint_operator_oracle(seed, trials):
     return np.real(np.einsum("np,nijpq,nq->nij", psi.conj(), joint, psi))
 
 
+def one_shot_correlator_oracle(seed, trials):
+    """Correlator tables from one einsum and one settings contraction over every row at once."""
+    psi, settings_a, settings_b = random_draws(seed, trials)
+    tensor = np.real(np.einsum("np,klpq,nq->nkl", psi.conj(), verify._PAULI_PAIRS, psi))
+    return settings_a @ tensor @ settings_b.transpose(0, 2, 1)
+
+
 class TestCorrelatorBatch:
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 10_000])
+    @pytest.mark.parametrize("seed", [2026, 2027])
+    def test_row_blocks_equal_the_one_shot_einsum(self, seed, trials):
+        assert verify._CORRELATOR_BLOCK == 1024  # so the trial counts straddle a block boundary
+        e = verify._random_correlator_batch(seed, trials)
+        assert e.tobytes() == one_shot_correlator_oracle(seed, trials).tobytes()
+
     @pytest.mark.parametrize("trials", [1, 7, 10_000])
     @pytest.mark.parametrize("seed", [2026, 2027, 17, 18, 99, 100])
     def test_matches_joint_operator_oracle(self, seed, trials):
@@ -131,11 +145,28 @@ class TestCorrelatorBatch:
                     assert abs(table[i, j] - expected) <= 1e-14
 
     def test_peak_memory_stays_small(self):
-        # the joint-operator tensor alone is 10.2 MB at 1e4 trials
+        # the joint-operator tensor alone is 10.2 MB at 1e4 trials, and the one-shot
+        # einsum's complex output with its real part peaked at 3.7 MB; row blocks read 2.3 MB
         tracemalloc.start()
         try:
             verify._random_correlator_batch(2026, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 1024 * 1024
+        assert peak < 3 * 1024 * 1024
+
+
+def test_popper_check_solves_each_state_and_grid_once(monkeypatch):
+    # the 250 solves of the 25 states share 89 distinct (state, grid) pairs, plus the two narrowing
+    # solves; rebinding the module attribute counts the calls as perfbench's tracer does
+    calls = []
+    solve = popper.conditional_uncertainties
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(popper, "conditional_uncertainties", counted)
+    passed, _, _ = verify.check_popper()
+    assert passed
+    assert len(calls) == 91
