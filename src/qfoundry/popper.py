@@ -128,9 +128,9 @@ class SlitCondition:
         return SlitCondition(math.sqrt(self.intensity_variance), self.center, "gaussian")
 
 
-def _auto_extent(state: GaussianPairState, slit: SlitCondition | None) -> float:
-    """Default grid half-width: eight of the wider spread, plus the slit's offset."""
-    return 8.0 * max(state.sigma_plus, state.sigma_minus) + (abs(slit.center) if slit is not None else 0.0)
+def _extent(state: GaussianPairState, slit: SlitCondition | None, extent: float | None = None) -> float:
+    """Grid half-width: ``extent`` if set, else eight of the wider spread plus the slit's offset."""
+    return extent or 8.0 * max(state.sigma_plus, state.sigma_minus) + (abs(slit.center) if slit is not None else 0.0)
 
 
 def _smallest_scale(state: GaussianPairState, slit: SlitCondition) -> float:
@@ -153,7 +153,7 @@ class GridSpec:
         object.__setattr__(self, "points", int(self.points))
 
     def resolve(self, state: GaussianPairState, slit: SlitCondition | None = None):
-        extent = self.extent or _auto_extent(state, slit)
+        extent = _extent(state, slit, self.extent)
         dx = 2.0 * extent / self.points
         x = -extent + dx * np.arange(self.points)
         return x, dx
@@ -161,7 +161,7 @@ class GridSpec:
     @classmethod
     def auto(cls, state: GaussianPairState, slit: SlitCondition, oversample: float = 2.0) -> "GridSpec":
         """Power-of-two grid resolving every scale with headroom."""
-        extent = _auto_extent(state, slit)
+        extent = _extent(state, slit)
         smallest = _smallest_scale(state, slit)
         needed = 2.0 * extent * _MIN_POINTS_PER_SCALE * oversample / smallest
         if needed > MAX_GRID_POINTS:
@@ -271,7 +271,7 @@ def conditional_uncertainties(state: GaussianPairState, slit, grid: GridSpec):
     state drifts from 1 by more than 1e-6.
     """
     slits = (slit,) if isinstance(slit, SlitCondition) else tuple(slit)
-    if len({grid.extent or _auto_extent(state, s) for s in slits}) != 1:
+    if len({_extent(state, s, grid.extent) for s in slits}) != 1:
         raise ValueError("the slits of one call must resolve to one grid (a GridSpec extent, or equal |center|)")
     x, dx = grid.resolve(state, slits[0])
     _check_resolution(state, min(slits, key=lambda s: s.width), dx)

@@ -339,15 +339,18 @@ class TestConditionalKernel:
                 assert np.max(np.abs(psi - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_gaussian_slit_matches_grid_free_kappa(self):
-        # on every state and width of the acceptance battery, centred and off centre:
-        # one batch of the five widths per state and centre, on the narrowest width's auto grid
+        # on every state and width of the acceptance battery, centred and off centre, each
+        # slit on its own auto grid (the popper CLI's default); slits whose grids coincide share a call
         worst = 0.0
         for sp in verify.POPPER_SIGMAS:
             for sm in verify.POPPER_SIGMAS:
                 state = GaussianPairState(sp, sm)
-                for center in (0.0, 0.7):
-                    slits = [SlitCondition(width, center) for width in verify.POPPER_WIDTHS]
-                    grid = GridSpec.auto(state, min(slits, key=lambda slit: slit.width))
+                batches = {}
+                for width in verify.POPPER_WIDTHS:
+                    for center in (0.0, 0.7):
+                        slit = SlitCondition(width, center)
+                        batches.setdefault(GridSpec.auto(state, slit), []).append(slit)
+                for grid, slits in batches.items():
                     for slit, report in zip(slits, conditional_uncertainties(state, slits, grid)):
                         kappa = gaussian_slit_kappa(state, slit.width)
                         dx_exact, dp_exact = 1.0 / (2.0 * math.sqrt(kappa)), math.sqrt(kappa)
