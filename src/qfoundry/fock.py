@@ -2,10 +2,7 @@
 
 A state is the map from each occupied number state (n_a, n_b) to its
 complex amplitude, so its size is the number of occupied states, whatever
-the photon number.  Ladder operations keep raw (possibly non-unit)
-amplitudes so operator algebra like a+_H a+_V |0> composes without hidden
-renormalization; call :meth:`FockState.normalized` when a physical state
-is needed.
+the photon number.
 
 Mode rotations rewrite creation operators as linear combinations of the
 rotated-mode operators and re-expand, which is the physical beamsplitter
@@ -56,31 +53,14 @@ class FockState:
     def norm(self) -> float:
         return float(np.linalg.norm(list(self.amplitudes.values())))
 
-    def normalized(self) -> "FockState":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return FockState({key: value / n for key, value in self.amplitudes.items()})
-
     def amplitude(self, n_a: int, n_b: int) -> complex:
         return self.amplitudes.get((n_a, n_b), 0j)
-
-    def total_number_distribution(self) -> dict[int, float]:
-        """{total photon number: probability}, ascending (assumes unit norm); sums in entry order as np.bincount."""
-        distribution = {}
-        for (n_a, n_b), value in self.amplitudes.items():
-            distribution[n_a + n_b] = distribution.get(n_a + n_b, 0.0) + abs(value) ** 2
-        return dict(sorted(distribution.items()))
 
     def occupied(self, atol: float = AMPLITUDE_ATOL):
         """Yield (n_a, n_b, amplitude) for entries above ``atol``."""
         for (n_a, n_b), value in self.amplitudes.items():
             if abs(value) > atol:
                 yield n_a, n_b, value
-
-
-def vacuum() -> FockState:
-    return FockState({(0, 0): 1.0})
 
 
 def fock_basis(n_a: int, n_b: int) -> FockState:
@@ -94,19 +74,6 @@ def noon_state(n: int) -> FockState:
         raise ValueError("n must be at least 1")
     r = 1.0 / math.sqrt(2.0)
     return FockState({(n, 0): r, (0, n): r})
-
-
-def create(state: FockState, mode: str) -> FockState:
-    """Apply a creation operator; raw sqrt(n+1) ladder factors are kept."""
-    if mode not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    out = {}
-    for (n_a, n_b), value in state.amplitudes.items():
-        if mode == "a":
-            out[n_a + 1, n_b] = value * math.sqrt(n_a + 1)
-        else:
-            out[n_a, n_b + 1] = value * math.sqrt(n_b + 1)
-    return FockState(out)
 
 
 @dataclass(frozen=True)
@@ -188,18 +155,3 @@ def photon_atoms_entangle(noon1: FockState) -> StateVector:
     atoms[1] = noon1.amplitude(0, 1)  # |g,e> = |0>|1>
     return StateVector((2, 2), atoms)
 
-
-def fock_from_labeled_pair(pair: StateVector) -> FockState:
-    """Project a two-photon labeled-particle ket onto the bosonic sector.
-
-    The symmetric components map onto occupations, |xx> -> |2,0>,
-    |yy> -> |0,2>, (|xy> + |yx>)/sqrt(2) -> |1,1>; the antisymmetric
-    component has no bosonic image and its weight is discarded, so the
-    result is generally sub-normalized.  This is the bookkeeping that shows
-    a bare basis relabeling of distinguishable-photon kets is not the
-    physical beamsplitter action.
-    """
-    if pair.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit labeled pair, got dims {pair.dims}")
-    c = pair.amplitudes
-    return FockState({(2, 0): c[0], (1, 1): (c[1] + c[2]) / math.sqrt(2.0), (0, 2): c[3]})

@@ -114,6 +114,8 @@ class LocalHVTable:
             raise ValueError(f"non-finite weights {w.tolist()!r}")
         if w.min() < -1e-12:
             raise ValueError(f"weights must be nonnegative, got min {float(w.min())!r}")
+        if w.max() > 1.0 + 1e-12:  # refused before the sum, which may overflow
+            raise ValueError(f"weights must be at most 1, got max {float(w.max())!r}")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
@@ -123,13 +125,6 @@ class LocalHVTable:
     @classmethod
     def uniform(cls) -> "LocalHVTable":
         return cls(np.full(len(LOCAL_HV_ROWS), 1.0 / len(LOCAL_HV_ROWS)))
-
-    @classmethod
-    def point(cls, row: int) -> "LocalHVTable":
-        """All weight on one row (a vertex of the weight simplex)."""
-        w = np.zeros(len(LOCAL_HV_ROWS))
-        w[row] = 1.0
-        return cls(w)
 
 
 def lhv_same_probability(table: LocalHVTable) -> float:

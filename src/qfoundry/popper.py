@@ -77,10 +77,6 @@ class GaussianPairState:
         object.__setattr__(self, "sigma_plus", float(self.sigma_plus))
         object.__setattr__(self, "sigma_minus", float(self.sigma_minus))
 
-    @property
-    def entangled(self) -> bool:
-        return self.sigma_plus != self.sigma_minus
-
     def exponent_coefficients(self) -> tuple[float, float]:
         """(alpha, beta) with psi = C exp(-alpha (x1^2 + x2^2) - beta x1 x2)."""
         alpha = 1.0 / (8.0 * self.sigma_plus**2) + 1.0 / (8.0 * self.sigma_minus**2)
@@ -116,16 +112,6 @@ class SlitCondition:
         if self.profile == "gaussian":
             return np.exp(-((x - self.center) ** 2) / (4.0 * self.width**2))
         return (np.abs(x - self.center) <= self.width / 2.0).astype(float)
-
-    @property
-    def intensity_variance(self) -> float:
-        if self.profile == "gaussian":
-            return self.width**2
-        return self.width**2 / 12.0
-
-    def matched_gaussian(self) -> "SlitCondition":
-        """Gaussian slit with the same intensity variance and center."""
-        return SlitCondition(math.sqrt(self.intensity_variance), self.center, "gaussian")
 
 
 def _extent(state: GaussianPairState, slit: SlitCondition | None, extent: float | None = None) -> float:

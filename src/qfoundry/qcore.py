@@ -7,8 +7,7 @@ call concurrently.
 
 Index convention: subsystem 0 is the slowest-varying tensor index.  For
 ``dims = (2, 2)`` the amplitude order is |00>, |01>, |10>, |11>.  Global
-phases are never normalized away; state comparisons go through
-:func:`fidelity`, which is phase-insensitive.
+phases are never normalized away.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 # positivity (double precision, dim <= 16).
 ATOL = 1e-12
 PSD_ATOL = 1e-10
+_SMALLEST_NORMAL = 2.0**-1022
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -135,22 +135,19 @@ class MeasurementSetting:
     @classmethod
     def normalized(cls, vector) -> "MeasurementSetting":
         arr = np.asarray(vector, dtype=float).reshape(-1)
-        norm = np.linalg.norm(arr)
+        square = np.vdot(arr, arr)  # np.linalg.norm's sum of squares, with no overflow warning (dot warns)
+        if not _SMALLEST_NORMAL <= square < math.inf:  # the squares lost digits or overflowed
+            peak = float(np.max(np.abs(arr), initial=0.0))
+            if 0.0 < peak < math.inf:
+                arr = arr / peak
+                square = np.vdot(arr, arr)
+        norm = math.sqrt(square)
         if not 0.0 < norm < math.inf:
             raise ValueError(f"cannot normalize {arr.tolist()!r}: need finite components, not all zero")
         return cls(arr / norm)
 
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "MeasurementSetting":
-        return cls.normalized(rng.normal(size=3))
-
     def dot(self, other: "MeasurementSetting") -> float:
         return float(self.direction @ other.direction)
-
-
-def tensor(s1: StateVector, s2: StateVector) -> StateVector:
-    """Tensor product of two pure states (dims concatenated)."""
-    return StateVector(s1.dims + s2.dims, np.kron(s1.amplitudes, s2.amplitudes))
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -210,13 +207,6 @@ def expectation(state: StateVector, observable: Observable) -> float:
     if observable.matrix.shape[0] != state.amplitudes.size:
         raise ValueError("observable dimension does not match state dimension")
     return float(np.real(state.amplitudes.conj() @ (observable.matrix @ state.amplitudes)))
-
-
-def fidelity(s1: StateVector, s2: StateVector) -> float:
-    """|<s1|s2>|^2; insensitive to global phases."""
-    if s1.dims != s2.dims:
-        raise ValueError(f"dimension mismatch: {s1.dims} vs {s2.dims}")
-    return float(np.abs(s1.amplitudes.conj() @ s2.amplitudes) ** 2)
 
 
 def basis_state(dims: tuple[int, ...], occupation: tuple[int, ...]) -> StateVector:

@@ -14,12 +14,13 @@ array kernel ``qcore.product_probability`` and its callers are checked
 against these.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from qfoundry import qcore
-from qfoundry.qcore import Observable, StateVector
+from qfoundry.qcore import MeasurementSetting, Observable, StateVector
 
 PROJECTOR_ATOL = 1e-10
 
@@ -29,6 +30,17 @@ def random_state(dims, rng):
     size = math.prod(dims)
     raw = rng.normal(size=size) + 1j * rng.normal(size=size)
     return StateVector(tuple(dims), raw / np.linalg.norm(raw))
+
+
+def random_setting(rng):
+    """A uniformly random direction, from three normal draws."""
+    return MeasurementSetting.normalized(rng.normal(size=3))
+
+
+def product_state(*factors):
+    """The pure product state of ``factors``, subsystem 0 slowest."""
+    dims = sum((factor.dims for factor in factors), ())
+    return StateVector(dims, functools.reduce(np.kron, [factor.amplitudes for factor in factors]))
 
 
 def apply_unitary(state, u, subsystem=None):

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -254,15 +255,21 @@ class TestExitCodes:
 class TestErrorMessages:
     @pytest.mark.parametrize(
         "argv, value",
-        [(["tlm", "--c01", "-1.5"], "1.5"), (["lhv-table", "--weights=-0.5,1.5,0,0,0,0,0,0"], "-0.5")],
-        ids=["tlm", "lhv-table"],
+        [
+            (["tlm", "--c01", "-1.5"], "1.5"),
+            (["lhv-table", "--weights=-0.5,1.5,0,0,0,0,0,0"], "-0.5"),
+            # this warned of an overflow in the sum, then refused a sum of inf
+            (["lhv-table", "--weights", "1e308,1e308,0,0,0,0,0,0"], "at most 1, got max 1e+308"),
+        ],
+        ids=["tlm", "lhv-table", "lhv-table-oversized"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_offending_value_is_a_plain_number(self, argv, value, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert value in err
-        assert "np." not in err
+        assert "np." not in err and not re.search(r"\b(nan|inf)\b", err)
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -701,6 +708,13 @@ WEIGHTS = ["0.125," * 7 + "0.125", "1,0,0,0,0,0,0,0", "0.5,0.5,0,0,0,0,0,0", "-0
            "nan,0,0,0,0,0,0,1", "inf,0,0,0,0,0,0,0", "1e-320,1,0,0,0,0,0,0", "1,1,1,1,1,1,1,1", "1,2"]
 
 
+VECTOR_FLAGS = ("--u", "--v", "--a", "--b")
+
+
+def number_lists(size):
+    return st.lists(st.sampled_from(NUMBERS), min_size=size, max_size=size).map(",".join)
+
+
 def flag_values(flag, options):
     junk = st.sampled_from(MALFORMED + NON_FINITE)
     if "choices" in options:
@@ -713,9 +727,9 @@ def flag_values(flag, options):
         scans = st.tuples(st.sampled_from(SCAN_ENDS), st.sampled_from(SCAN_ENDS), st.sampled_from(SCAN_STEPS))
         return scans.map(":".join) | junk
     if flag == "--weights":
-        return st.sampled_from(WEIGHTS) | junk
-    if flag in ("--u", "--v", "--a", "--b"):
-        return st.sampled_from(VECTORS) | junk
+        return st.sampled_from(WEIGHTS) | number_lists(8) | junk
+    if flag in VECTOR_FLAGS:
+        return st.sampled_from(VECTORS) | number_lists(3) | junk
     raise AssertionError(f"no fuzz values for {flag}")
 
 
@@ -731,6 +745,16 @@ def scenario_argv(draw):
     return [command] + [f"{flag}={draw(flag_values(flag, options[flag]))}" for flag in flags]
 
 
+@st.composite
+def model_argv(draw):
+    """leggett with all four model vectors set, so each one reaches MeasurementSetting.normalized."""
+    vectors = st.sampled_from(VECTORS) | number_lists(3)
+    argv = ["leggett"] + [f"{flag}={draw(vectors)}" for flag in VECTOR_FLAGS]
+    if draw(st.booleans()):
+        argv.append(f"--samples={draw(st.sampled_from(COUNTS['--samples']))}")
+    return argv
+
+
 def refuse_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -742,10 +766,13 @@ def test_every_flag_has_fuzz_values():
 
 
 @settings(max_examples=300)
-@given(scenario_argv())
+@given(scenario_argv() | model_argv())
 def test_fuzzed_argv_gives_parseable_output_or_a_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # any warning fails the example; a filterwarnings mark would also turn the
+    # warnings of hypothesis's own failure report into errors and abort the run
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refuses the argv

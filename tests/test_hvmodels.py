@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import random_setting
 
 from qfoundry import hvmodels
 from qfoundry.hvmodels import (
@@ -83,8 +84,9 @@ class TestLocalHVTable:
         assert abs(lhv_same_probability(LocalHVTable.uniform()) - 0.5) < 1e-15
 
     def test_vertex_rows(self):
-        assert abs(lhv_same_probability(LocalHVTable.point(1)) - 1.0 / 3.0) < 1e-15
-        assert abs(lhv_same_probability(LocalHVTable.point(0)) - 1.0) < 1e-15
+        vertices = np.eye(len(LOCAL_HV_ROWS))
+        assert abs(lhv_same_probability(LocalHVTable(vertices[1])) - 1.0 / 3.0) < 1e-15
+        assert abs(lhv_same_probability(LocalHVTable(vertices[0])) - 1.0) < 1e-15
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -204,9 +206,9 @@ class TestLeggettExpectations:
         # free u.a via orthogonal b and v; model must return u.a exactly
         rng = np.random.default_rng(47)
         for _ in range(1000):
-            u = MeasurementSetting.random(rng)
-            a = MeasurementSetting.random(rng)
-            helper = MeasurementSetting.random(rng).direction
+            u = random_setting(rng)
+            a = random_setting(rng)
+            helper = random_setting(rng).direction
             b_raw = np.cross(a.direction, helper)
             if np.linalg.norm(b_raw) < 1e-6:
                 continue
@@ -535,7 +537,7 @@ class TestOutcomeRules:
         for lam in (rng.random(), rng.random((10, 100))):
             for _ in range(20):
                 params = in_plane_params(*rng.uniform(0.0, 2.0 * np.pi, size=2))
-                for outcomes in (poincare_outcome(MeasurementSetting.random(rng), lam), *leggett_outcomes(params, lam)):
+                for outcomes in (poincare_outcome(random_setting(rng), lam), *leggett_outcomes(params, lam)):
                     assert outcomes.shape == np.shape(lam)
                     assert np.issubdtype(outcomes.dtype, np.integer)
                     assert set(np.unique(outcomes).tolist()) <= {-1, 1}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from helpers import hardy_probabilities_oracle, kcbs_value_oracle, polarization_oracle, random_state
+from helpers import hardy_probabilities_oracle, kcbs_value_oracle, polarization_oracle, random_setting, random_state
 
 from qfoundry import inequalities as ineq
 from qfoundry import qcore, verify
@@ -160,8 +160,8 @@ class TestChsh:
         worst = 0.0
         for _ in range(200):
             state = random_state((2, 2), rng)
-            settings_a = [MeasurementSetting.random(rng) for _ in range(2)]
-            settings_b = [MeasurementSetting.random(rng) for _ in range(2)]
+            settings_a = [random_setting(rng) for _ in range(2)]
+            settings_b = [random_setting(rng) for _ in range(2)]
             c = np.array(
                 [[ineq.setting_correlation(state, a, b) for b in settings_b] for a in settings_a]
             )
@@ -474,8 +474,8 @@ class TestTlm:
         rng = np.random.default_rng(73)
         for _ in range(300):
             state = random_state((2, 2), rng)
-            settings_a = [MeasurementSetting.random(rng) for _ in range(2)]
-            settings_b = [MeasurementSetting.random(rng) for _ in range(2)]
+            settings_a = [random_setting(rng) for _ in range(2)]
+            settings_b = [random_setting(rng) for _ in range(2)]
             c = np.clip(
                 np.array(
                     [

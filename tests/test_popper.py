@@ -151,8 +151,9 @@ class TestConditional:
         for sp, sm, width in [(1.0, 0.5, 1.0), (0.8, 1.6, 0.9), (1.3, 0.6, 1.5)]:
             state = GaussianPairState(sp, sm)
             hard = SlitCondition(width, profile="hard")
-            matched = hard.matched_gaussian()
-            assert abs(matched.intensity_variance - hard.intensity_variance) < 1e-15
+            # a Gaussian slit's intensity variance is width^2, a hard slit's width^2 / 12
+            matched = SlitCondition(math.sqrt(width**2 / 12.0))
+            assert abs(matched.width**2 - width**2 / 12.0) < 1e-15
             hard_report = conditional_uncertainties(state, hard, GridSpec.auto(state, hard))
             gauss_report = conditional_uncertainties(state, matched, GridSpec.auto(state, matched))
             assert hard_report.momentum_spread > gauss_report.momentum_spread
@@ -223,7 +224,7 @@ class TestConditional:
         state = GaussianPairState(scale, scale)
         slit = SlitCondition(scale)
         assert all(math.isfinite(c) for c in state.exponent_coefficients())
-        assert 0.0 < slit.intensity_variance < math.inf
+        assert 0.0 < slit.width**2 < math.inf
 
     @pytest.mark.parametrize("sp,sm", [(20.0, 0.5), (0.5, 20.0)])
     def test_extreme_spread_ratio_matches_grid_free_kappa(self, sp, sm):
