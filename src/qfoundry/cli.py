@@ -6,6 +6,16 @@ provenance map naming the module operation behind each column.  Exit codes:
 0 success, 2 parameter/validation error, 3 model inconsistency (the
 crypto-nonlocal construction has no valid intervals for the requested
 settings).  The seed, an integer >= 0, defaults to QFOUNDRY_SEED when set.
+
+Every run is one short process whose largest matrix is 16 x 16, too small
+for BLAS threads to help, while OpenBLAS's worker thread spins after numpy
+loads: about 130 ms of CPU per process on a 2-vCPU machine.  So this module
+sets OPENBLAS_NUM_THREADS to 1 before it imports numpy, unless the variable
+is already set, in which case the user's value is kept.  The library modules
+set nothing process-wide.  Each library module is imported inside the
+scenarios that call it, so a run loads only the modules its scenario uses;
+``ModelInconsistentError``, which ``main`` catches, and ``MAX_GRID_POINTS``,
+which the ``--points`` help quotes, live in the package itself.
 """
 
 from __future__ import annotations
@@ -15,13 +25,17 @@ import collections
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy first loads OpenBLAS
 
-from . import DEFAULT_SEED, __version__, fock, hvmodels, inequalities, popper, qcore
-from .hvmodels import LeggettModelParams, ModelInconsistentError
-from .qcore import MeasurementSetting
-from .report import ResultTable, render_table_csv, render_table_csv_sidecar, render_table_json
+import numpy as np  # noqa: E402
+
+from . import DEFAULT_SEED, MAX_GRID_POINTS, ModelInconsistentError, __version__  # noqa: E402
+from .report import ResultTable, render_table_csv, render_table_csv_sidecar, render_table_json  # noqa: E402
+
+if TYPE_CHECKING:
+    from .qcore import MeasurementSetting, StateVector
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -108,6 +122,8 @@ def _parse_numbers(spec: str, name: str, count: int) -> list[float]:
 
 
 def _parse_vector(spec: str, name: str) -> MeasurementSetting:
+    from .qcore import MeasurementSetting
+
     components = _parse_numbers(spec, name, 3)
     try:
         return MeasurementSetting.normalized(components)
@@ -128,6 +144,8 @@ def _points(scan: str | None, scan_flag: str, single: float | None, single_flag:
 
 def _radians(degrees: np.ndarray, flag: str, upper_deg: float) -> np.ndarray:
     """``degrees`` in radians; one outside [0, upper_deg] beyond the library's rounding slack is refused naming ``flag``."""
+    from . import inequalities
+
     radians = np.deg2rad(degrees)
     outside = (radians < -inequalities.DOMAIN_ATOL) | (radians > math.radians(upper_deg) + inequalities.DOMAIN_ATOL)
     if outside.any():
@@ -155,6 +173,8 @@ def _quantities(args, params: dict, provenance: dict, values: dict, **extra) -> 
 
 
 def _scenario_lhv_table(args) -> ResultTable:
+    from . import hvmodels
+
     if args.weights is None:
         table = hvmodels.LocalHVTable.uniform()
     else:
@@ -184,6 +204,8 @@ def _scenario_lhv_table(args) -> ResultTable:
 
 
 def _scenario_polarization(args) -> ResultTable:
+    from . import inequalities
+
     thetas_deg = _points(args.scan_theta, "--scan-theta", args.theta_rel, "--theta-rel", DEFAULT_THETA_REL)
     p_same, p_both = inequalities.qm_same_polarization_probability(np.deg2rad(thetas_deg))
     cos2_theta = [math.cos(math.radians(theta_deg)) ** 2 for theta_deg in thetas_deg.tolist()]
@@ -201,7 +223,9 @@ def _scenario_polarization(args) -> ResultTable:
     )
 
 
-def _chsh_state(state: str, gamma_deg: float | None) -> qcore.StateVector:
+def _chsh_state(state: str, gamma_deg: float | None) -> StateVector:
+    from . import qcore
+
     if state == "singlet":
         return qcore.singlet()
     if state == "product":
@@ -212,6 +236,8 @@ def _chsh_state(state: str, gamma_deg: float | None) -> qcore.StateVector:
 
 
 def _scenario_chsh(args) -> ResultTable:
+    from . import inequalities
+
     gamma_deg = None
     if args.state == "partial":
         gamma_deg = DEFAULT_GAMMA if args.gamma is None else args.gamma
@@ -250,7 +276,9 @@ def _scenario_leggett(args) -> ResultTable:
                 "--scan-phi sets the phi scan and cannot be combined with --u, --v, --a, --b; "
                 f"got --scan-phi {args.scan_phi!r}"
             )
-        params = LeggettModelParams(
+        from . import hvmodels
+
+        params = hvmodels.LeggettModelParams(
             _parse_vector(args.u, "--u"),
             _parse_vector(args.v, "--v"),
             _parse_vector(args.a, "--a"),
@@ -278,6 +306,8 @@ def _scenario_leggett(args) -> ResultTable:
             values,
         )
 
+    from . import inequalities
+
     scan_phi = DEFAULT_SCAN_PHI if args.scan_phi is None else args.scan_phi
     phis_deg = _parse_scan(scan_phi, "--scan-phi")
     scan = inequalities.leggett_violation_scan(_radians(phis_deg, "--scan-phi", 180.0))
@@ -298,6 +328,8 @@ def _scenario_leggett(args) -> ResultTable:
 
 
 def _scenario_kcbs(args) -> ResultTable:
+    from . import inequalities
+
     config = inequalities.kcbs_build_pentagram()
     values = {
         "s_kcbs": inequalities.kcbs_value(config),
@@ -321,6 +353,8 @@ def _scenario_kcbs(args) -> ResultTable:
 
 
 def _scenario_hardy(args) -> ResultTable:
+    from . import inequalities
+
     gammas_deg = _points(args.scan_gamma, "--scan-gamma", args.gamma, "--gamma", DEFAULT_GAMMA)
     gamma_flag = "--gamma" if args.scan_gamma is None else "--scan-gamma"
     probabilities = inequalities.hardy_probabilities(_radians(gammas_deg, gamma_flag, 90.0))
@@ -340,6 +374,8 @@ def _scenario_hardy(args) -> ResultTable:
 
 
 def _scenario_hom(args) -> ResultTable:
+    from . import fock
+
     output = fock.hong_ou_mandel_output()
     return _table(
         args,
@@ -356,6 +392,8 @@ def _scenario_hom(args) -> ResultTable:
 
 
 def _scenario_noon(args) -> ResultTable:
+    from . import fock, qcore
+
     state = fock.noon_state(args.n)
     rows = [(f"|{n_a},{n_b}>", amplitude.real, amplitude.imag) for n_a, n_b, amplitude in state.occupied()]
     extra = {}
@@ -382,10 +420,12 @@ def _scenario_noon(args) -> ResultTable:
 
 
 def _scenario_popper(args) -> ResultTable:
+    from . import popper
+
     state = popper.GaussianPairState(args.sigma_plus, args.sigma_minus)
     slit = popper.SlitCondition(args.width, args.center, args.profile)
-    if args.points and not 4 <= args.points <= popper.MAX_GRID_POINTS:
-        raise ValueError(f"--points must be 0 or 4 to MAX_GRID_POINTS = {popper.MAX_GRID_POINTS}, got {args.points}")
+    if args.points and not 4 <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"--points must be 0 or 4 to MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {args.points}")
     if args.extent is not None and (args.extent <= 0.0 or not args.points):
         raise ValueError(f"--extent must be positive and needs --points, got --extent {args.extent} --points {args.points}")
     grid = popper.GridSpec(args.points, args.extent) if args.points else popper.GridSpec.auto(state, slit)
@@ -421,6 +461,8 @@ def _scenario_popper(args) -> ResultTable:
 
 
 def _scenario_tlm(args) -> ResultTable:
+    from . import inequalities
+
     record = inequalities.CorrelationRecord(np.array([[args.c00, args.c01], [args.c10, args.c11]]))
     outcome = inequalities.tlm_check(record)
     return _quantities(
@@ -474,7 +516,7 @@ SCENARIOS = {
         ("--width", dict(type=finite_float, default=0.5)),
         ("--center", dict(type=finite_float, default=0.0)),
         ("--profile", dict(choices=("gaussian", "hard"), default="gaussian")),
-        ("--points", dict(type=int, default=0, help=f"grid points (0 = auto; at most {popper.MAX_GRID_POINTS})")),
+        ("--points", dict(type=int, default=0, help=f"grid points (0 = auto; at most {MAX_GRID_POINTS})")),
         ("--extent", dict(type=finite_float, default=None, help="half-width of the grid")),
     ]),
     "tlm": Scenario("quantum-realizability check for correlators", _scenario_tlm, [

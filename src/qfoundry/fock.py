@@ -51,7 +51,14 @@ class FockState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(list(self.amplitudes.values())))
+        values = np.array(list(self.amplitudes.values()), dtype=complex)
+        with np.errstate(over="ignore"):  # squares past the float range are rescaled below
+            norm = float(np.linalg.norm(values))
+            if not 2.0**-511 <= norm < math.inf:  # the squares lost digits or overflowed
+                peak = float(np.max(np.abs(values), initial=0.0))
+                if 0.0 < peak < math.inf:
+                    norm = peak * float(np.linalg.norm(values / peak))
+        return norm
 
     def amplitude(self, n_a: int, n_b: int) -> complex:
         return self.amplitudes.get((n_a, n_b), 0j)

@@ -36,12 +36,12 @@ rule's ties, exact at quarter turns of lambda, give +1 as well.
 
 The Monte Carlo path of :func:`leggett_expectations` draws the hidden
 variable as lambda = k / 2^32 for a uniform 32-bit k, two per raw 64-bit
-word of the PCG64 bit generator, in fixed chunks of ``SAMPLE_CHUNK`` = 2^16
-values: 2^15 raw words (256 KB) and a reused 64 KB boolean mask.  The three
+word of the PCG64 bit generator, in fixed chunks of ``SAMPLE_CHUNK`` = 2^17
+values: 2^16 raw words (512 KB) and a reused 128 KB boolean mask.  The three
 thresholds become integer cut-offs on k, so three comparisons count
 lambda <= lambda_A, lambda < x1 and lambda <= x2 exactly; the +1 counts of
 A, B and AB follow from these by exact interval algebra.  A running shard
-holds one chunk, about 0.3 MB, for any sample count.  Chunked draws continue
+holds one chunk, about 0.6 MB, for any sample count.  Chunked draws continue
 the same random stream and the counts are exact, so the results do not
 depend on the chunk size.  The sample count fixes the substreams (shards):
 one per ``SHARD_SAMPLES`` = 2^20 draws, at most ``MAX_SHARDS``.  Shards draw
@@ -60,12 +60,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import ModelInconsistentError
 from .qcore import MeasurementSetting
 
 CONSISTENCY_ATOL = 1e-12
 # lambdas drawn and reduced at a time by the Monte Carlo sampler; even, so
 # that every chunk but the last uses both halves of each raw word
-SAMPLE_CHUNK = 1 << 16
+SAMPLE_CHUNK = 1 << 17
 # the sampler's lambda is k / 2^32 for a uniform 32-bit k
 _K_RANGE = 1 << 32
 # draws per default substream, and the most substreams a sample count derives
@@ -88,10 +89,6 @@ LOCAL_HV_ROWS: tuple[tuple[int, int, int], ...] = (
 
 # The three randomly chosen mismatched setting pairs (a1 b2, a2 b3, a3 b1).
 SETTING_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (2, 0))
-
-
-class ModelInconsistentError(ValueError):
-    """The crypto-nonlocal model has no valid outcome intervals here."""
 
 
 def row_same_fraction(row: tuple[int, int, int]) -> Fraction:

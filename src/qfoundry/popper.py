@@ -46,10 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MAX_GRID_POINTS
+
 UNCERTAINTY_BOUND = 0.5
 _MIN_POINTS_PER_SCALE = 16
 _NORM_DRIFT_TOL = 1e-6
-MAX_GRID_POINTS = 1 << 20
 
 
 class UnderResolvedGridError(ValueError):

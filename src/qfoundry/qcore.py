@@ -29,6 +29,12 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
+def _norm_squared(values, axis=None) -> np.ndarray:
+    """Sum of |v|^2 over ``axis``; a sum past the float range is inf, with no overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.sum(np.abs(values) ** 2, axis=axis)
+
+
 def _as_complex_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex).reshape(-1)
     arr.setflags(write=False)
@@ -64,7 +70,7 @@ class StateVector:
                 f"amplitude length {self.amplitudes.size} does not match "
                 f"prod(dims) = {expected}"
             )
-        norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm_sq = float(_norm_squared(self.amplitudes))
         if not abs(norm_sq - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
 
@@ -128,7 +134,7 @@ class MeasurementSetting:
             raise ValueError(f"setting must be a 3-vector, got size {arr.size}")
         arr.setflags(write=False)
         object.__setattr__(self, "direction", arr)
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(np.vdot(arr, arr))  # np.linalg.norm's value, with no overflow warning (dot warns)
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"setting is not a finite unit vector: |n| = {norm!r}")
 
@@ -184,7 +190,7 @@ def product_probability(psi, ket_a, ket_b) -> np.ndarray:
     if psi.shape[-2:] != ket_a.shape[-1:] + ket_b.shape[-1:]:
         raise ValueError(f"state shape {psi.shape} does not match ket shapes {ket_a.shape} and {ket_b.shape}")
     for name, values, axes in (("state", psi, (-2, -1)), ("ket_a", ket_a, -1), ("ket_b", ket_b, -1)):
-        norm_sq = np.sum(np.abs(values) ** 2, axis=axes)
+        norm_sq = _norm_squared(values, axes)
         if not np.all(np.abs(norm_sq - 1.0) <= ATOL):
             raise ValueError(f"{name} is not a finite unit vector within {ATOL}")
     # plain products and sums, not einsum, abs or **: a probability's bytes then do not depend on the batch around it

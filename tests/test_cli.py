@@ -590,10 +590,14 @@ class TestProvenance:
         assert functions <= called, sorted(functions - called)
 
 
-def run_fresh_interpreter(*args):
-    """Run ``python args`` in a new process that imports qfoundry from this checkout."""
+def run_fresh_interpreter(*args, environ=None):
+    """Run ``python args`` in a new process that imports qfoundry from this checkout.
+
+    The process gets ``environ``, by default this one's environment, with the checkout on PYTHONPATH.
+    """
+    environ = os.environ if environ is None else environ
     src = str(pathlib.Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     return result
@@ -683,6 +687,67 @@ def test_start_up_loads_only_what_a_scenario_uses():
     assert result["bare"] == []
     assert result["codes"] == {name: 0 for name in cli.SCENARIOS}
     assert result["unused"] == []
+
+
+def test_kcbs_loads_only_inequalities_and_qcore():
+    # the other library modules load inside the scenarios that call them; fractions comes with hvmodels
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import qfoundry.cli as cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["kcbs"])
+        modules = sorted(m for m in sys.modules if m.startswith("qfoundry"))
+        print(json.dumps({"code": code, "modules": modules, "fractions": "fractions" in sys.modules}))
+        """
+    )
+    assert json.loads(run_fresh_interpreter("-c", script).stdout) == {
+        "code": 0,
+        "modules": ["qfoundry", "qfoundry.cli", "qfoundry.inequalities", "qfoundry.qcore", "qfoundry.report"],
+        "fractions": False,
+    }
+
+
+def test_cli_grid_cap_and_model_error_are_the_libraries():
+    # the cli reads both from the package, so that start-up loads neither popper nor hvmodels
+    assert cli.MAX_GRID_POINTS == popper.MAX_GRID_POINTS == 1 << 20
+    assert cli.ModelInconsistentError is hvmodels.ModelInconsistentError
+
+
+# a finder that records OPENBLAS_NUM_THREADS when numpy is first imported, then
+# the thread count after the import of the cli
+BLAS_PROBE = textwrap.dedent(
+    """
+    import json, os, sys
+
+    class RecordBlasThreads:
+        seen = []
+
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" and not self.seen:
+                self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+    sys.meta_path.insert(0, RecordBlasThreads())
+    import qfoundry.cli
+
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if sys.platform.startswith("linux") and os.path.isdir(tasks) else None
+    print(json.dumps({"seen": RecordBlasThreads.seen, "threads": threads}))
+    """
+)
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_cli_runs_one_blas_thread_unless_the_user_sets_it(user_value):
+    # this process imported cli, which may have set the variable; each child starts without it
+    environ = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        environ["OPENBLAS_NUM_THREADS"] = user_value
+    result = json.loads(run_fresh_interpreter("-c", BLAS_PROBE, environ=environ).stdout)
+    assert result["seen"] == [user_value or "1"]
+    if user_value is None and result["threads"] is not None:
+        assert result["threads"] == 1
 
 
 # CLI fuzz: every scenario flag of cli.SCENARIOS plus --format and --seed, with finite,

@@ -1,6 +1,7 @@
 """Core linear algebra: containers, reductions, Born rule."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -396,3 +397,20 @@ def test_every_checked_value_type_is_in_the_non_finite_table():
     ]
     assert value_types
     assert sorted(set(value_types) - checked) == []
+
+
+# finite values whose squares pass the float range: the checks refuse them and
+# FockState.norm rescales, all without numpy's overflow warning; a plain test,
+# since a hypothesis test under this mark stops pytest on its first failure
+@pytest.mark.filterwarnings("error")
+def test_overflowing_squares_raise_no_warning():
+    with pytest.raises(ValueError, match=r"setting is not a finite unit vector: \|n\| = inf"):
+        MeasurementSetting([1e308, 1e308, 0.0])
+    with pytest.raises(ValueError, match=r"state is not normalized: \|psi\|\^2 = inf"):
+        StateVector((2,), [1e200, 0.0])
+    with pytest.raises(ValueError, match="state is not a finite unit vector"):
+        product_probability([[1e200, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0])
+    assert fock.FockState({(0, 0): 1e200, (1, 0): 1e200}).norm == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert fock.FockState({(0, 0): 1e-200, (1, 0): 1e-200}).norm == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    # ordinary amplitudes keep np.linalg.norm's value
+    assert fock.FockState({(0, 0): 0.6, (1, 0): 0.8j}).norm == float(np.linalg.norm([0.6, 0.8j]))

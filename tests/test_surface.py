@@ -5,7 +5,8 @@ public class, must be referenced by code in ``src/`` other than its own
 definition, be used in the README "Library use" block, or be listed in
 ``ALLOWED`` with its reason.  Docstrings and comments are not references.
 For a module-level name a reference is a ``module.NAME`` access, a
-``from .module import NAME`` or a bare use inside its own module; for a
+``from .module import NAME`` (``from . import NAME`` for the package's
+``__init__``) or a bare use inside its own module; for a
 method it is an attribute access by its name.  The README block is also
 run here, so the names it shows are known to work.
 """
@@ -64,8 +65,8 @@ def references(tree, module=None):
                 found.add(f".{node.attr}")
                 if isinstance(node.value, ast.Name) and node.value.id in MODULES:
                     found.add(f"{node.value.id}.{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                source = node.module.removeprefix("qfoundry.")
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module.removeprefix("qfoundry.") if node.module else "__init__"
                 found.update(f"{source}.{alias.name}" for alias in node.names)
             elif isinstance(node, ast.Name) and module is not None and node.id != own:
                 found.add(f"{module}.{node.id}")
