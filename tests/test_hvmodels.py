@@ -296,8 +296,14 @@ def float_reference_sampler(params, n_samples, seed, shards):
 
 class TestChunkedSampler:
     CHUNK = hvmodels.SAMPLE_CHUNK
-    # chunk boundaries, and the same offsets around 2^20, a whole number of chunks
-    SIZES = sorted({1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7})
+    HALF = CHUNK // 2
+    # chunk boundaries, the same offsets around half a chunk (a partial last
+    # chunk) and around 2^20, a whole number of chunks
+    SIZES = sorted(
+        {1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7}
+        | {HALF - 1, HALF, HALF + 1, 3 * HALF + 7}
+        | {2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7}
+    )
 
     @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("n_samples", SIZES)
@@ -316,8 +322,8 @@ class TestChunkedSampler:
 
     def test_memory_bounded_by_one_chunk(self):
         # drawing 8 * 2^20 lambdas at once would take 64 MB for the draw alone;
-        # one chunk's 2^15 raw words and its mask take 0.31 MB, and the peak
-        # measured 0.32 MB warm and 0.98 MB as the first draw of a fresh process
+        # one chunk's 2^16 raw words and its mask take 0.63 MB, and the peak
+        # measured 0.63 MB warm and 1.25 MB as the first draw of a fresh process
         params = in_plane_params(0.2, 1.0)
         tracemalloc.start()
         try:
@@ -419,7 +425,7 @@ class TestChunkedSampler:
         assert plus_a == upto_x2 == int(np.count_nonzero(lam <= t))
         assert below_x1 == int(np.count_nonzero(lam < t))
 
-    @pytest.mark.parametrize("n_samples", [1, CHUNK - 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("n_samples", [1, HALF - 1, 3 * HALF + 7, CHUNK - 1, 3 * CHUNK + 7])
     def test_two_lambdas_per_raw_word(self, n_samples):
         # the sampler uses ceil(n / 2) raw words and nothing else of the stream
         rng = np.random.default_rng(29)
