@@ -47,6 +47,10 @@ SCENARIO_EXAMPLES = {
     "scenario_noon.json": ["noon"],
     "scenario_noon_n3.json": ["noon", "--n", "3"],
     "scenario_tlm.json": ["tlm"],
+    # CSV beyond the all-float scan: quoted string cells, a float and bool column, int columns
+    "scenario_noon_n3.csv": ["noon", "--n", "3", "--format", "csv", "--output", "noon.csv"],
+    "scenario_tlm.csv": ["tlm", "--format", "csv", "--output", "tlm.csv"],
+    "scenario_lhv_table.csv": ["lhv-table", "--format", "csv", "--output", "lhv.csv"],
     "scenario_leggett_sharded.json": [
         "leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "3000001",
     ],
