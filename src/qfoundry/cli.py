@@ -45,7 +45,8 @@ EXIT_INCONSISTENT = 3
 DEFAULT_SCAN_PHI = "0:90:0.01"  # the leggett phi scan
 DEFAULT_THETA_REL = 120.0  # polarization-qm without --scan-theta
 DEFAULT_GAMMA = 22.5  # the chsh partial state and hardy without --scan-gamma
-# the most points a lo:hi:step scan may have; 90 001 rows render about 10 MB of JSON
+# the most points a lo:hi:step scan may have.  A 100 000-row leggett scan is
+# 11.6 MB of JSON: 0.7-0.9 s and a peak RSS of 86 MB as one process (2 vCPUs, Python 3.11)
 MAX_SCAN_POINTS = 100_000
 
 

@@ -55,13 +55,15 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import ModelInconsistentError
 from .qcore import MeasurementSetting
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CONSISTENCY_ATOL = 1e-12
 # lambdas drawn and reduced at a time by the Monte Carlo sampler; even, so
@@ -93,6 +95,8 @@ SETTING_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (2, 0))
 
 def row_same_fraction(row: tuple[int, int, int]) -> Fraction:
     """Fraction of the three mismatched setting pairs with equal outcomes."""
+    from fractions import Fraction  # here, so that the Leggett model mode never loads it
+
     hits = sum(1 for i, j in SETTING_PAIRS if row[i] == row[j])
     return Fraction(hits, len(SETTING_PAIRS))
 
@@ -227,8 +231,7 @@ def leggett_outcomes(params: LeggettModelParams, lam) -> tuple[np.ndarray, np.nd
     return np.where(lam <= lambda_a, 1, -1), np.where((x1 <= lam) & (lam <= x2), 1, -1)
 
 
-@dataclass(frozen=True)
-class LeggettExpectations:
+class LeggettExpectations(NamedTuple):
     """Single- and two-party means with standard errors (0 when analytic)."""
 
     mean_a: float

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ def setting_correlation(state: StateVector, a: MeasurementSetting, b: Measuremen
     return qcore.expectation(state, op)
 
 
-@dataclass(frozen=True)
-class ChshOptimum:
+class ChshOptimum(NamedTuple):
     s_max: float
     settings_a: tuple[MeasurementSetting, MeasurementSetting]
     settings_b: tuple[MeasurementSetting, MeasurementSetting]
@@ -191,8 +191,7 @@ def leggett_quantum_value(phi: float | np.ndarray) -> float | np.ndarray:
     return np.abs(2.0 * (np.cos(_in_domain(phi, "phi", np.pi, "pi")) + 1.0))
 
 
-@dataclass(frozen=True)
-class LeggettScan:
+class LeggettScan(NamedTuple):
     """Tabulated quantum value vs bound over a phi grid (radians)."""
 
     phi: np.ndarray
@@ -374,8 +373,7 @@ def hardy_classical_fourth_zero() -> bool:
     return all(not (alpha_p == -1 and beta_p == -1) for _, _, alpha_p, beta_p in survivors)
 
 
-@dataclass(frozen=True)
-class TlmResult:
+class TlmResult(NamedTuple):
     lhs: float
     rhs: float
     satisfied: bool

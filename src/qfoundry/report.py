@@ -6,6 +6,17 @@ and rows of scalars.  Floats are rendered as 17-significant-digit decimals
 so doubles round-trip exactly and reruns with the same seed are
 byte-identical; CSV output is RFC-4180-style with LF line endings and "."
 decimals, with the metadata in a sidecar JSON block.
+
+The rows are rendered by column format, one row at a time.  Each column's
+format is chosen once: a column of finite Python floats is printed with
+``%.17g``, the same bytes as :func:`format_number`, and every other column
+goes through the per-value renderer.  A JSON row is one ``%`` of a row
+template and the whole text is joined once; CSV rows go through
+``csv.writer``, which quotes string cells as needed.  Non-float cells are
+rendered lazily, row by row, so the first bad value raises as it would in
+a row-major loop.  The JSON of the default 9 001-row Leggett scan peaks at
+2.5 times its length under tracemalloc; joining each nesting level on its
+own, as ``render_json`` does, peaks at 3.5 times.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,9 +85,35 @@ class ResultTable:
         self.rows.append(list(values))
 
 
+def _float_columns(table: ResultTable) -> list[bool]:
+    """Whether each column of ``table`` holds only finite Python floats."""
+    flags = []
+    for i in range(len(table.columns)):
+        column = list(map(itemgetter(i), table.rows))
+        flags.append(set(map(type, column)) == {float} and all(map(math.isfinite, column)))
+    return flags
+
+
+def _row_cells(table: ResultTable, renderers: list):
+    """The rows of ``table`` as tuples made one at a time, column i through ``renderers[i]`` unless it is None."""
+    if not renderers:  # rows of no cells
+        return map(tuple, table.rows)
+    columns = [map(itemgetter(i), table.rows) for i in range(len(renderers))]
+    return zip(*[column if render is None else map(render, column) for column, render in zip(columns, renderers)])
+
+
 def render_table_json(table: ResultTable) -> str:
-    payload = {"meta": table.meta, "columns": table.columns, "rows": table.rows}
-    return render_json(payload) + "\n"
+    """``render_json`` of the table's meta, columns and rows, plus a newline."""
+    head = f'{{\n  "meta": {render_json(table.meta, 1)},\n  "columns": {render_json(table.columns, 1)},\n  "rows": '
+    if not table.rows:
+        return head + "[]\n}\n"
+    floats = _float_columns(table)
+    row = "    [\n      " + ",\n      ".join("%.17g" if f else "%s" for f in floats) + "\n    ]" if floats else "    []"
+    cells = _row_cells(table, [None if f else _render_scalar for f in floats])
+    parts = [head + "[\n" + row % next(cells)]
+    parts.extend(map((",\n" + row).__mod__, cells))
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _csv_cell(value) -> str:
@@ -90,8 +128,7 @@ def render_table_csv(table: ResultTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows(_row_cells(table, ["%.17g".__mod__ if f else _csv_cell for f in _float_columns(table)]))
     return buffer.getvalue()
 
 

@@ -11,15 +11,19 @@ that a 9 001-angle grid takes about a second.  ``kcbs_value_oracle`` is
 the former ``inequalities.kcbs_value``: the sum of <psi|A_j A_j+1|psi> over
 dense products of the validated 3x3 observables A_j = I - 2|l_j><l_j|.  The
 array kernel ``qcore.product_probability`` and its callers are checked
-against these.
+against these.  ``render_table_csv_oracle`` is the former
+``report.render_table_csv``: each cell through ``report._csv_cell``, one
+row list at a time.
 """
 
+import csv
 import functools
+import io
 import math
 
 import numpy as np
 
-from qfoundry import qcore
+from qfoundry import qcore, report
 from qfoundry.qcore import MeasurementSetting, Observable, StateVector
 
 PROJECTOR_ATOL = 1e-10
@@ -148,3 +152,13 @@ def kcbs_value_oracle(config):
         # adjacent observables commute, so the product is Hermitian
         total += qcore.expectation(psi, Observable(product, label=f"A_{j}A_{(j + 1) % 5}"))
     return total
+
+
+def render_table_csv_oracle(table):
+    """The CSV text of ``table``, every cell through the per-value renderer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([report._csv_cell(v) for v in row])
+    return buffer.getvalue()

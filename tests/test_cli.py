@@ -709,6 +709,30 @@ def test_kcbs_loads_only_inequalities_and_qcore():
     }
 
 
+def test_leggett_model_mode_loads_no_fractions():
+    # hvmodels builds a Fraction only for the lhv-table rows, so the sampling run leaves fractions unloaded
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import qfoundry.cli as cli
+
+        def run(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            return code, out.getvalue()
+
+        model = run(["leggett", "--u", "0,0,1", "--v", "0,0,1", "--a", "1,0,0", "--b", "0,1,0", "--samples", "1000"])
+        after_model = "fractions" in sys.modules
+        table = run(["lhv-table"])
+        print(json.dumps({"codes": [model[0], table[0]], "fractions": after_model, "table": table[1]}))
+        """
+    )
+    result = json.loads(run_fresh_interpreter("-c", script).stdout)
+    golden = (pathlib.Path(__file__).parent / "golden" / "scenario_lhv_table.json").read_text(encoding="utf-8")
+    assert result == {"codes": [0, 0], "fractions": False, "table": golden}
+
+
 def test_cli_grid_cap_and_model_error_are_the_libraries():
     # the cli reads both from the package, so that start-up loads neither popper nor hvmodels
     assert cli.MAX_GRID_POINTS == popper.MAX_GRID_POINTS == 1 << 20

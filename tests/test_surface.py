@@ -9,6 +9,13 @@ For a module-level name a reference is a ``module.NAME`` access, a
 ``__init__``) or a bare use inside its own module; for a
 method it is an attribute access by its name.  The README block is also
 run here, so the names it shows are known to work.
+
+The test files are parsed too: no hypothesis test may run under a
+``filterwarnings("error")`` mark.  The hypothesis plugin reports a failing
+example through an import that warns, so under the mark the first failing
+example stops the session with INTERNALERROR instead of failing the test;
+such a test turns warnings into errors with ``warnings.catch_warnings()``
+inside the example.
 """
 
 import ast
@@ -16,8 +23,10 @@ import contextlib
 import io
 import pathlib
 import re
+import textwrap
 
-SRC = pathlib.Path(__file__).parents[1] / "src" / "qfoundry"
+TESTS = pathlib.Path(__file__).parent
+SRC = TESTS.parent / "src" / "qfoundry"
 README = pathlib.Path(__file__).parents[1] / "README.md"
 MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
 
@@ -107,3 +116,77 @@ def test_library_block_runs_and_prints_its_comments():
     assert printed and len(printed) == len(expected)
     for value, digits in zip(printed, expected):
         assert value.startswith(digits), (value, digits)
+
+
+def errors_on_warnings(node):
+    """Whether ``node`` is a ``pytest.mark.filterwarnings`` call whose filter action is "error"."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("mark.filterwarnings")
+        and any(isinstance(arg, ast.Constant) and str(arg.value).split(":")[0] == "error" for arg in node.args)
+    )
+
+
+def hypothesis_tests_erroring_on_warnings(source, filename):
+    """``filename::test`` of each ``@given`` test that a ``filterwarnings("error")`` mark reaches.
+
+    The mark may sit on the test, on an enclosing class or in the module's ``pytestmark``.
+    """
+    found = []
+
+    def visit(body, where, marked):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{where}::{node.name}", marked or any(map(errors_on_warnings, node.decorator_list)))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list]
+                given = any(name.split(".")[-1] == "given" for name in decorators)
+                if given and (marked or any(map(errors_on_warnings, node.decorator_list))):
+                    found.append(f"{where}::{node.name}")
+
+    tree = ast.parse(source)
+    module_marks = [
+        node
+        for statement in tree.body
+        if isinstance(statement, ast.Assign) and any(getattr(t, "id", None) == "pytestmark" for t in statement.targets)
+        for node in ast.walk(statement.value)
+    ]
+    visit(tree.body, filename, any(map(errors_on_warnings, module_marks)))
+    return found
+
+
+def test_no_hypothesis_test_runs_under_an_error_filter_mark():
+    found = [
+        name
+        for path in sorted(TESTS.glob("test_*.py"))
+        for name in hypothesis_tests_erroring_on_warnings(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == []
+
+
+def test_the_error_filter_guard_finds_each_placement():
+    source = textwrap.dedent(
+        """
+        import pytest
+        from hypothesis import given, strategies as st
+
+        @pytest.mark.filterwarnings("error")
+        @given(st.integers())
+        def test_marked(x): ...
+
+        @pytest.mark.filterwarnings("error::RuntimeWarning")
+        class TestMarked:
+            @hypothesis.given(st.integers())
+            def test_in_class(self, x): ...
+
+        @pytest.mark.filterwarnings("ignore")
+        @given(st.integers())
+        def test_ignoring(x): ...
+
+        @pytest.mark.filterwarnings("error")
+        def test_plain(): ...
+        """
+    )
+    assert hypothesis_tests_erroring_on_warnings(source, "t.py") == ["t.py::test_marked", "t.py::TestMarked::test_in_class"]
+    module_mark = 'import pytest\npytestmark = [pytest.mark.filterwarnings("error")]\n@given(x)\ndef test_any(x): ...\n'
+    assert hypothesis_tests_erroring_on_warnings(module_mark, "m.py") == ["m.py::test_any"]
