@@ -690,7 +690,7 @@ def test_start_up_loads_only_what_a_scenario_uses():
 
 
 def test_kcbs_loads_only_inequalities_and_qcore():
-    # the other library modules load inside the scenarios that call them; fractions comes with hvmodels
+    # the other library modules load inside the scenarios that call them; hvmodels loads fractions only to build a Fraction
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
