@@ -6,6 +6,8 @@ provenance map naming the module operation behind each column.  Exit codes:
 0 success, 2 parameter/validation error, 3 model inconsistency (the
 crypto-nonlocal construction has no valid intervals for the requested
 settings).  The seed, an integer >= 0, defaults to QFOUNDRY_SEED when set.
+CSV metadata goes to a ``<output>.meta.json`` sidecar, or without
+``--output`` to stderr while the CSV goes to stdout.
 
 Every run is one short process whose largest matrix is 16 x 16, too small
 for BLAS threads to help, while OpenBLAS's worker thread spins after numpy
@@ -46,7 +48,7 @@ DEFAULT_SCAN_PHI = "0:90:0.01"  # the leggett phi scan
 DEFAULT_THETA_REL = 120.0  # polarization-qm without --scan-theta
 DEFAULT_GAMMA = 22.5  # the chsh partial state and hardy without --scan-gamma
 # the most points a lo:hi:step scan may have.  A 100 000-row leggett scan is
-# 11.6 MB of JSON: 0.7-0.9 s and a peak RSS of 86 MB as one process (2 vCPUs, Python 3.11)
+# 11.6 MB of JSON: 0.4-0.5 s and a peak RSS of 63 MB as one process (2 vCPUs, Python 3.11)
 MAX_SCAN_POINTS = 100_000
 
 
@@ -154,7 +156,8 @@ def _radians(degrees: np.ndarray, flag: str, upper_deg: float) -> np.ndarray:
     return radians
 
 
-def _table(args, params: dict, provenance: dict, columns: list[str], rows, **extra) -> ResultTable:
+def _table(args, params: dict, provenance: dict, columns: list[str], data, **extra) -> ResultTable:
+    """The scenario's table; ``data`` holds one sequence per column, as the scenario computed it."""
     meta = {
         "scenario": args.command,
         "toolkit_version": __version__,
@@ -163,14 +166,11 @@ def _table(args, params: dict, provenance: dict, columns: list[str], rows, **ext
         "provenance": provenance,
         **extra,
     }
-    table = ResultTable(meta, columns)
-    for row in rows:
-        table.add_row(*row)
-    return table
+    return ResultTable(meta, columns, list(data))
 
 
 def _quantities(args, params: dict, provenance: dict, values: dict, **extra) -> ResultTable:
-    return _table(args, params, provenance, ["quantity", "value"], values.items(), **extra)
+    return _table(args, params, provenance, ["quantity", "value"], zip(*values.items()), **extra)
 
 
 def _scenario_lhv_table(args) -> ResultTable:
@@ -197,7 +197,7 @@ def _scenario_lhv_table(args) -> ResultTable:
             "weight": "hvmodels.LocalHVTable",
         },
         ["row", "outcome_0deg", "outcome_plus120deg", "outcome_minus120deg", "same_fraction", "weight"],
-        rows,
+        zip(*rows),
         p_same_weighted=hvmodels.lhv_same_probability(table),
         p_same_minimum=float(minimum),
         p_same_minimum_exact=f"{minimum.numerator}/{minimum.denominator}",
@@ -219,7 +219,7 @@ def _scenario_polarization(args) -> ResultTable:
             "cos2_theta": "analytic cross-check cos^2(theta)",
         },
         ["theta_rel_deg", "p_same", "p_both_pass", "cos2_theta"],
-        zip(thetas_deg.tolist(), p_same.tolist(), p_both.tolist(), cos2_theta),
+        [thetas_deg, p_same, p_both, cos2_theta],
         lhv_bound=1.0 / 3.0,
     )
 
@@ -321,7 +321,7 @@ def _scenario_leggett(args) -> ResultTable:
             "violation": "inequalities.leggett_violation_scan",
         },
         ["phi_deg", "s_qm", "bound", "violation"],
-        zip(phis_deg.tolist(), scan.s_qm.tolist(), scan.bound.tolist(), scan.violation.tolist()),
+        [phis_deg, scan.s_qm, scan.bound, scan.violation],
         argmax_phi_deg=math.degrees(scan.argmax_phi),
         max_violation=scan.max_violation,
         stationarity_root_deg=math.degrees(inequalities.leggett_violation_argmax_oracle()),
@@ -370,7 +370,7 @@ def _scenario_hardy(args) -> ResultTable:
             "p4_closed_form": "inequalities.hardy_fourth_probability_closed_form",
         },
         ["gamma_deg", "p1", "p2", "p3", "p4", "p4_closed_form"],
-        zip(gammas_deg.tolist(), *(p.tolist() for p in probabilities), closed_form),
+        [gammas_deg, *probabilities, closed_form],
     )
 
 
@@ -386,7 +386,7 @@ def _scenario_hom(args) -> ResultTable:
             "probability": "|amplitude|^2",
         },
         ["n_a", "n_b", "amplitude_real", "amplitude_imag", "probability"],
-        [(n_a, n_b, amplitude.real, amplitude.imag, abs(amplitude) ** 2) for n_a, n_b, amplitude in output.occupied()],
+        zip(*[(n_a, n_b, amplitude.real, amplitude.imag, abs(amplitude) ** 2) for n_a, n_b, amplitude in output.occupied()]),
         coincidence_probability=fock.coincidence_probability(output),
         basis="rotated modes (A, D)",
     )
@@ -415,7 +415,7 @@ def _scenario_noon(args) -> ResultTable:
             "entropy": "eigenvalues of qcore.partial_trace",
         },
         ["basis_label", "amplitude_real", "amplitude_imag"],
-        rows,
+        zip(*rows),
         **extra,
     )
 

@@ -2,21 +2,20 @@
 
 Every scenario run produces a :class:`ResultTable`: a metadata block (seed,
 grid, toolkit version, column provenance), a header naming every column,
-and rows of scalars.  Floats are rendered as 17-significant-digit decimals
-so doubles round-trip exactly and reruns with the same seed are
-byte-identical; CSV output is RFC-4180-style with LF line endings and "."
-decimals, with the metadata in a sidecar JSON block.
+and one sequence per column as the scenario computed it, a scan's float64
+arrays or a row-wise table's tuples.  Floats are rendered as
+17-significant-digit decimals so doubles round-trip exactly and reruns with
+the same seed are byte-identical; CSV output is RFC-4180-style with LF line
+endings and "." decimals, with the metadata in a sidecar JSON block.
 
-The rows are rendered by column format, one row at a time.  Each column's
-format is chosen once: a column of finite Python floats is printed with
-``%.17g``, the same bytes as :func:`format_number`, and every other column
-goes through the per-value renderer.  A JSON row is one ``%`` of a row
-template and the whole text is joined once; CSV rows go through
-``csv.writer``, which quotes string cells as needed.  Non-float cells are
-rendered lazily, row by row, so the first bad value raises as it would in
-a row-major loop.  The JSON of the default 9 001-row Leggett scan peaks at
-2.5 times its length under tracemalloc; joining each nesting level on its
-own, as ``render_json`` does, peaks at 3.5 times.
+The renderers read the columns directly, one row of text at a time.  A
+float64 array of finite values, or a list of finite Python floats, is
+printed with ``%.17g`` (:func:`format_number`'s bytes for either type); any
+other column goes lazily through the per-value renderer, so the first bad
+value raises as in a row-major loop.  Arrays are not copied into lists:
+with ``.tolist()`` in the render, the default 9 001-row Leggett scan's JSON
+peaks at 3.6 times its text under tracemalloc, against 2.5 times.  A JSON
+row is one ``%`` of a row template; CSV rows go through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -73,44 +70,45 @@ def render_json(obj, indent: int = 0) -> str:
     return _render_scalar(obj)
 
 
-@dataclass
 class ResultTable:
-    meta: dict
-    columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    """``meta``, the column names, and ``data``: one float64 array or list per column; ``None`` starts empty lists."""
+
+    def __init__(self, meta: dict, columns: list[str], data: list | None = None) -> None:
+        self.meta, self.columns = meta, columns
+        self.data = [[] for _ in columns] if data is None else data
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
             raise ValueError(f"row width {len(values)} != {len(self.columns)} columns")
-        self.rows.append(list(values))
+        for column, value in zip(self.data, values):
+            column.append(value)
 
 
-def _float_columns(table: ResultTable) -> list[bool]:
-    """Whether each column of ``table`` holds only finite Python floats."""
-    flags = []
-    for i in range(len(table.columns)):
-        column = list(map(itemgetter(i), table.rows))
-        flags.append(set(map(type, column)) == {float} and all(map(math.isfinite, column)))
-    return flags
-
-
-def _row_cells(table: ResultTable, renderers: list):
-    """The rows of ``table`` as tuples made one at a time, column i through ``renderers[i]`` unless it is None."""
-    if not renderers:  # rows of no cells
-        return map(tuple, table.rows)
-    columns = [map(itemgetter(i), table.rows) for i in range(len(renderers))]
-    return zip(*[column if render is None else map(render, column) for column, render in zip(columns, renderers)])
+def _columns(table: ResultTable) -> list[tuple]:
+    """``(column, is_float)`` for each column of ``table``, refused unless they match its names and each other in length."""
+    lengths = [len(column) for column in table.data]
+    if len(lengths) != len(table.columns) or len(set(lengths)) > 1:
+        raise ValueError(f"need one equal-length column per name; got lengths {lengths} for {len(table.columns)} names")
+    columns = []
+    for column in table.data:
+        if isinstance(column, np.ndarray):
+            is_float = column.dtype == np.float64 and bool(np.isfinite(column).all())
+        else:
+            is_float = set(map(type, column)) == {float} and all(map(math.isfinite, column))
+        columns.append((column, is_float))
+    return columns
 
 
 def render_table_json(table: ResultTable) -> str:
     """``render_json`` of the table's meta, columns and rows, plus a newline."""
+    columns = _columns(table)
     head = f'{{\n  "meta": {render_json(table.meta, 1)},\n  "columns": {render_json(table.columns, 1)},\n  "rows": '
-    if not table.rows:
+    cells = zip(*[column if is_float else map(_render_scalar, column) for column, is_float in columns])
+    first = next(cells, None)
+    if first is None:
         return head + "[]\n}\n"
-    floats = _float_columns(table)
-    row = "    [\n      " + ",\n      ".join("%.17g" if f else "%s" for f in floats) + "\n    ]" if floats else "    []"
-    cells = _row_cells(table, [None if f else _render_scalar for f in floats])
-    parts = [head + "[\n" + row % next(cells)]
+    row = "    [\n      " + ",\n      ".join("%.17g" if is_float else "%s" for _, is_float in columns) + "\n    ]"
+    parts = [head + "[\n" + row % first]
     parts.extend(map((",\n" + row).__mod__, cells))
     parts.append("\n  ]\n}\n")
     return "".join(parts)
@@ -125,10 +123,11 @@ def _csv_cell(value) -> str:
 
 
 def render_table_csv(table: ResultTable) -> str:
+    columns = _columns(table)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)
-    writer.writerows(_row_cells(table, ["%.17g".__mod__ if f else _csv_cell for f in _float_columns(table)]))
+    writer.writerows(zip(*[map("%.17g".__mod__ if is_float else _csv_cell, column) for column, is_float in columns]))
     return buffer.getvalue()
 
 

@@ -13,7 +13,7 @@ dense products of the validated 3x3 observables A_j = I - 2|l_j><l_j|.  The
 array kernel ``qcore.product_probability`` and its callers are checked
 against these.  ``render_table_csv_oracle`` is the former
 ``report.render_table_csv``: each cell through ``report._csv_cell``, one
-row list at a time.
+row of the table's columns at a time.
 """
 
 import csv
@@ -159,6 +159,6 @@ def render_table_csv_oracle(table):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
+    for row in zip(*table.data):
         writer.writerow([report._csv_cell(v) for v in row])
     return buffer.getvalue()

@@ -75,6 +75,15 @@ class TestScenarioTables:
         assert abs(sidecar["argmax_phi_deg"] - sidecar["stationarity_root_deg"]) <= 0.5
         assert sidecar["max_violation"] > 0.10
 
+    def test_csv_without_output_writes_the_sidecar_to_stderr(self, tmp_path, capsys):
+        argv = ["leggett", "--scan-phi", "0:90:10", "--format", "csv"]
+        out = tmp_path / "scan.csv"
+        assert run_cli([*argv, "--output", str(out)], capsys) == (0, "", "")
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == 0
+        assert stdout == out.read_bytes().decode("utf-8")
+        assert stderr == (tmp_path / "scan.csv.meta.json").read_bytes().decode("utf-8")
+
     def test_hardy_at_45_degrees_gives_zero_p4(self, tmp_path, capsys):
         out = tmp_path / "hardy.json"
         code, _, _ = run_cli(["hardy", "--gamma", "45", "--output", str(out)], capsys)
@@ -731,6 +740,34 @@ def test_leggett_model_mode_loads_no_fractions():
     result = json.loads(run_fresh_interpreter("-c", script).stdout)
     golden = (pathlib.Path(__file__).parent / "golden" / "scenario_lhv_table.json").read_text(encoding="utf-8")
     assert result == {"codes": [0, 0], "fractions": False, "table": golden}
+
+
+# the peak RSS in MiB and the exit code of each CLI argv, each run as its own process and read with os.wait4;
+# a process's ru_maxrss counts the memory of the process that spawned it, so a small interpreter spawns them
+PEAK_RSS_PROBE = textwrap.dedent(
+    """
+    import json, os, sys
+
+    peaks = []
+    for argv in json.loads(sys.argv[1]):
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "qfoundry.cli", *argv], os.environ)
+        _, status, usage = os.wait4(pid, 0)
+        peaks.append([usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)])  # Linux reports KiB
+    print(json.dumps(peaks))
+    """
+)
+
+
+def test_the_largest_scan_process_holds_no_list_per_row(tmp_path):
+    # kcbs holds the interpreter, numpy and the cli; the 100 000-row scan's 11.6 MB of JSON adds about 32 MiB
+    # to that, and a table holding one list of Python floats per row added about 56 MiB
+    argvs = [
+        ["kcbs", "--output", str(tmp_path / "kcbs.json")],
+        ["leggett", "--scan-phi", "0:99.999:0.001", "--output", str(tmp_path / "scan.json")],
+    ]
+    (kcbs, kcbs_code), (scan, scan_code) = json.loads(run_fresh_interpreter("-c", PEAK_RSS_PROBE, json.dumps(argvs)).stdout)
+    assert kcbs_code == scan_code == 0
+    assert scan - kcbs < 45, (scan, kcbs)
 
 
 def test_cli_grid_cap_and_model_error_are_the_libraries():
