@@ -71,7 +71,7 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 class ResultTable:
-    """``meta``, the column names, and ``data``: one float64 array or list per column; ``None`` starts empty lists."""
+    """``meta``, the column names, and ``data``: one float64 array, list or tuple per column; ``None`` starts empty lists."""
 
     def __init__(self, meta: dict, columns: list[str], data: list | None = None) -> None:
         self.meta, self.columns = meta, columns
