@@ -230,7 +230,7 @@ def _chsh_state(state: str, gamma_deg: float | None) -> StateVector:
     if state == "singlet":
         return qcore.singlet()
     if state == "product":
-        return qcore.basis_state((2, 2), (0, 0))
+        return qcore.StateVector((2, 2), [1.0, 0.0, 0.0, 0.0])
     gamma = math.radians(gamma_deg)
     amplitudes = np.array([0.0, math.cos(gamma), -math.sin(gamma), 0.0], dtype=complex)
     return qcore.StateVector((2, 2), amplitudes)

@@ -4,17 +4,16 @@ A state is the map from each occupied number state (n_a, n_b) to its
 complex amplitude, so its size is the number of occupied states, whatever
 the photon number.
 
-Mode rotations rewrite creation operators as linear combinations of the
-rotated-mode operators and re-expand, which is the physical beamsplitter
-action.  The polarizing-beamsplitter convention at angle t is
+The balanced (50:50, 45 degree) polarizing beamsplitter rewrites creation
+operators as linear combinations of the rotated-mode operators and
+re-expands, which is the physical beamsplitter action:
 
-    a+_H -> cos(t) a+_A + sin(t) a+_D,
-    a+_V -> sin(t) a+_A - cos(t) a+_D,
+    a+_H -> (a+_A + a+_D)/sqrt(2),
+    a+_V -> (a+_A - a+_D)/sqrt(2).
 
-so at 45 degrees, the balanced (50:50) splitter, a+_H -> (a+_A + a+_D)/sqrt(2)
-and a+_V -> (a+_A - a+_D)/sqrt(2).  The matrix is symmetric orthogonal, hence
-its own inverse: applying the same rotation twice returns the input.
-Output amplitudes are always stated in the rotated (new) mode basis.
+The matrix is symmetric orthogonal, hence its own inverse: applying the
+splitter twice returns the input.  Output amplitudes are always stated in
+the rotated (new) mode basis.
 """
 
 from __future__ import annotations
@@ -83,38 +82,20 @@ def noon_state(n: int) -> FockState:
     return FockState({(n, 0): r, (0, n): r})
 
 
-@dataclass(frozen=True)
-class ModeRotation:
-    """Two-mode linear transform: the PBS at an angle (45 degrees is the balanced splitter)."""
-
-    angle: float = math.pi / 4.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle))
-        # [[c, s], [s, -c]] is orthogonal for every finite angle
-        if not math.isfinite(self.angle):
-            raise ValueError(f"mode rotation angle must be finite, got {self.angle!r}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Rows map old-mode creation operators onto new-mode ones."""
-        if self.angle == math.pi / 4.0:
-            # libm puts cos(pi/4) and sin(pi/4) one ulp apart; the balanced
-            # element uses the exact common value so the HOM null is exact
-            c = s = math.sqrt(0.5)
-        else:
-            c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, s], [s, -c]], dtype=complex)
+# Rows map old-mode creation operators onto new-mode ones.  libm puts
+# cos(pi/4) and sin(pi/4) one ulp apart; every element uses the exact common
+# value sqrt(1/2) so the HOM null is exact.
+BALANCED_PBS = np.array([[1, 1], [1, -1]], dtype=complex) * math.sqrt(0.5)
 
 
-def apply_rotation(state: FockState, rot: ModeRotation) -> FockState:
-    """Re-express the state in the rotated mode basis (physical action).
+def apply_rotation(state: FockState) -> FockState:
+    """Re-express the state in the balanced splitter's output modes (physical action).
 
     Each occupied (m, n) entry is expanded through the multinomial rewrite
-    of (a+)^m (b+)^n under the mode transform; total photon number and norm
+    of (a+)^m (b+)^n under BALANCED_PBS; total photon number and norm
     are preserved.
     """
-    (m00, m01), (m10, m11) = rot.matrix
+    (m00, m01), (m10, m11) = BALANCED_PBS
     out = {}
     for m, n, value in state.occupied(atol=0.0):
         scale = value / math.sqrt(math.factorial(m) * math.factorial(n))
@@ -143,7 +124,7 @@ def coincidence_probability(state: FockState) -> float:
 
 def hong_ou_mandel_output() -> FockState:
     """|1,1> through the 45-degree PBS: (|2,0> - |0,2>)/sqrt(2)."""
-    return apply_rotation(fock_basis(1, 1), ModeRotation(math.pi / 4.0))
+    return apply_rotation(fock_basis(1, 1))
 
 
 def photon_atoms_entangle(noon1: FockState) -> StateVector:

@@ -51,6 +51,7 @@ summed, so the results do not depend on the thread count either.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -78,16 +79,7 @@ MAX_SHARDS = 256
 # Table of all 2^3 deterministic single-photon assignments over the three
 # polarizer settings (0, +2pi/3, -2pi/3); +1 = pass, -1 = blocked.  Row
 # order matches the enumeration with "pass everywhere" first.
-LOCAL_HV_ROWS: tuple[tuple[int, int, int], ...] = (
-    (+1, +1, +1),
-    (+1, +1, -1),
-    (+1, -1, +1),
-    (+1, -1, -1),
-    (-1, +1, +1),
-    (-1, +1, -1),
-    (-1, -1, +1),
-    (-1, -1, -1),
-)
+LOCAL_HV_ROWS: tuple[tuple[int, int, int], ...] = tuple(itertools.product((+1, -1), repeat=3))
 
 # The three randomly chosen mismatched setting pairs (a1 b2, a2 b3, a3 b1).
 SETTING_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (2, 0))

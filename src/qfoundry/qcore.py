@@ -35,12 +35,6 @@ def _norm_squared(values, axis=None) -> np.ndarray:
         return np.sum(np.abs(values) ** 2, axis=axis)
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
 def _as_complex_matrix(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -60,8 +54,10 @@ class StateVector:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
+        amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amplitudes.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
+        object.__setattr__(self, "amplitudes", amplitudes)
         if any(d < 2 for d in dims):
             raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
         expected = math.prod(dims) if dims else 1
@@ -157,21 +153,14 @@ class MeasurementSetting:
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduce ``rho`` to subsystem ``keep``, tracing out all others."""
-    n = len(rho.dims)
-    if not 0 <= keep < n:
-        raise IndexError(f"keep index {keep} out of range for {n} subsystems")
-    if n == 1:
-        return rho
-    others = [i for i in range(n) if i != keep]
-    perm = [keep] + others
+    """Reduce the two-party ``rho`` to party ``keep`` (0 or 1), tracing out the other."""
+    if len(rho.dims) != 2:
+        raise ValueError(f"partial_trace takes a two-party state, got dims {rho.dims}")
+    if keep not in (0, 1):
+        raise IndexError(f"keep index {keep} out of range for 2 subsystems")
     t = rho.matrix.reshape(*rho.dims, *rho.dims)
-    t = np.transpose(t, axes=perm + [n + p for p in perm])
-    d_keep = rho.dims[keep]
-    d_rest = math.prod(rho.dims[i] for i in others)
-    t = t.reshape(d_keep, d_rest, d_keep, d_rest)
-    reduced = np.einsum("arbr->ab", t)
-    return DensityMatrix((d_keep,), reduced)
+    reduced = np.einsum("arbr->ab" if keep == 0 else "rarb->ab", t)
+    return DensityMatrix((rho.dims[keep],), reduced)
 
 
 def product_probability(psi, ket_a, ket_b) -> np.ndarray:
@@ -213,21 +202,6 @@ def expectation(state: StateVector, observable: Observable) -> float:
     if observable.matrix.shape[0] != state.amplitudes.size:
         raise ValueError("observable dimension does not match state dimension")
     return float(np.real(state.amplitudes.conj() @ (observable.matrix @ state.amplitudes)))
-
-
-def basis_state(dims: tuple[int, ...], occupation: tuple[int, ...]) -> StateVector:
-    """Computational-basis ket |occupation> on the given dims."""
-    dims = tuple(int(d) for d in dims)
-    if len(occupation) != len(dims):
-        raise ValueError("occupation length must match number of subsystems")
-    index = 0
-    for d, k in zip(dims, occupation):
-        if not 0 <= k < d:
-            raise ValueError(f"basis index {k} out of range for dimension {d}")
-        index = index * d + k
-    amplitudes = np.zeros(math.prod(dims), dtype=complex)
-    amplitudes[index] = 1.0
-    return StateVector(dims, amplitudes)
 
 
 def singlet() -> StateVector:

@@ -1,4 +1,4 @@
-"""Two-mode Fock algebra: number states, mode rotations, interference."""
+"""Two-mode Fock algebra: number states, the balanced splitter, interference."""
 
 import math
 
@@ -8,8 +8,8 @@ from helpers import apply_unitary
 
 from qfoundry import qcore
 from qfoundry.fock import (
+    BALANCED_PBS,
     FockState,
-    ModeRotation,
     apply_rotation,
     coincidence_probability,
     fock_basis,
@@ -66,24 +66,28 @@ class TestFockState:
 
 
 class TestModeRotation:
-    def test_matrix_unitary_for_any_angle(self):
-        for angle in np.linspace(0.0, np.pi, 17):
-            m = ModeRotation(angle).matrix
-            assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
+    """The balanced (45 degree) splitter, the one mode rotation the scenarios use."""
+
+    def test_matrix_is_unitary_and_its_own_inverse(self):
+        m = BALANCED_PBS
+        assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-15
+        assert np.max(np.abs(m @ m - np.eye(2))) < 1e-15
+        # one shared value in every element, so the HOM amplitudes cancel exactly
+        assert set(np.abs(m).ravel().tolist()) == {math.sqrt(0.5)}
 
     def test_pbs_45_on_two_photons_gives_2002_state(self):
-        output = apply_rotation(fock_basis(1, 1), ModeRotation(math.pi / 4.0))
+        output = apply_rotation(fock_basis(1, 1))
         assert abs(output.amplitude(2, 0) - 1.0 / SQRT2) < 1e-12
         assert abs(output.amplitude(0, 2) + 1.0 / SQRT2) < 1e-12
         assert abs(output.amplitude(1, 1)) < 1e-12
 
     def test_balanced_splitter_on_single_photon(self):
-        output = apply_rotation(fock_basis(1, 0), ModeRotation())
+        output = apply_rotation(fock_basis(1, 0))
         assert abs(output.amplitude(1, 0) - 1.0 / SQRT2) < 1e-12
         assert abs(output.amplitude(0, 1) - 1.0 / SQRT2) < 1e-12
 
     def test_vacuum_is_invariant(self):
-        output = apply_rotation(fock_basis(0, 0), ModeRotation(0.7))
+        output = apply_rotation(fock_basis(0, 0))
         assert output.amplitude(0, 0) == 1.0
         assert abs(output.norm - 1.0) < 1e-15
 
@@ -91,17 +95,15 @@ class TestModeRotation:
         rng = np.random.default_rng(81)
         for _ in range(20):
             state = random_fock(rng, max_photons=6)
-            rot = ModeRotation(rng.uniform(0.0, np.pi))
-            rotated = apply_rotation(state, rot)
+            rotated = apply_rotation(state)
             assert abs(rotated.norm - 1.0) < 1e-12
             np.testing.assert_allclose(number_distribution(rotated), number_distribution(state), atol=1e-12)
 
     def test_rotation_is_its_own_inverse(self):
         rng = np.random.default_rng(83)
-        for angle in (0.3, math.pi / 4.0, 1.2):
+        for _ in range(3):
             state = random_fock(rng, max_photons=5)
-            rot = ModeRotation(angle)
-            round_trip = apply_rotation(apply_rotation(state, rot), rot)
+            round_trip = apply_rotation(apply_rotation(state))
             keys = set(round_trip.amplitudes) | set(state.amplitudes)
             assert max(abs(round_trip.amplitude(*key) - state.amplitude(*key)) for key in keys) < 1e-12
 
@@ -149,7 +151,7 @@ class TestBasisRelabelingDemo:
         # bosonic sector loses the antisymmetric half of the weight; only
         # the operator rewrite produces the 2002 state
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
-        labeled = qcore.basis_state((2, 2), (0, 1))  # |H>_1 |V>_2
+        labeled = qcore.StateVector((2, 2), [0.0, 1.0, 0.0, 0.0])  # |H>_1 |V>_2
         relabeled = apply_unitary(
             apply_unitary(labeled, hadamard, 0), hadamard, 1
         )

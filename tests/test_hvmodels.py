@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from helpers import random_setting
 
-from qfoundry import hvmodels
+from qfoundry import hvmodels, verify
 from qfoundry.hvmodels import (
     LOCAL_HV_ROWS,
     LeggettModelParams,
@@ -73,6 +73,11 @@ class TestLocalHVTable:
     def test_rows_enumerate_all_assignments(self):
         assert len(set(LOCAL_HV_ROWS)) == 8
         assert all(set(row) <= {-1, +1} for row in LOCAL_HV_ROWS)
+        # "pass everywhere" first, the last setting varying fastest
+        assert LOCAL_HV_ROWS == (
+            (+1, +1, +1), (+1, +1, -1), (+1, -1, +1), (+1, -1, -1),
+            (-1, +1, +1), (-1, +1, -1), (-1, -1, +1), (-1, -1, -1),
+        )
 
     def test_row_fractions_match_enumeration(self):
         # rows 1 and 8 (all equal) agree on every pair; the rest on exactly one
@@ -265,6 +270,23 @@ class TestLeggettExpectations:
         b = leggett_expectations(params, method="monte-carlo", n_samples=200_001, seed=5, shards=4)
         assert a == b
         assert abs(a.mean_ab - analytic.mean_ab) < 5.0 * a.stderr_ab + 1e-12
+
+    @pytest.mark.parametrize("index", [1, 20, 39, 58, 77])
+    def test_monte_carlo_law_over_seeds(self, index):
+        # each outcome is a +-1 variable, so a seed's sample mean of n draws has
+        # mean m and variance (1 - m^2)/n whatever random stream realises it
+        params = verify.leggett_grid_scenarios(97)[index]
+        analytic = leggett_expectations(params)
+        n, seeds = 20_000, range(400)
+        means = np.array([
+            leggett_expectations(params, method="monte-carlo", n_samples=n, seed=seed)[:3] for seed in seeds
+        ])
+        exact = np.array(analytic[:3])
+        variance = (1.0 - exact**2) / n
+        z = (means.mean(axis=0) - exact) / np.sqrt(variance / len(seeds))
+        assert np.all(np.abs(z) < 5.0)
+        ratio = means.var(axis=0, ddof=1) / variance
+        assert np.all((0.75 <= ratio) & (ratio <= 1.25))
 
 
 def drawn_lambdas(rng, count):

@@ -141,7 +141,7 @@ class TestChsh:
         assert np.prod(np.sign(cross)) == -1.0
 
     def test_product_state_respects_classical_bound(self):
-        product = qcore.basis_state((2, 2), (0, 0))
+        product = StateVector((2, 2), [1.0, 0.0, 0.0, 0.0])
         optimum = chsh_optimize(product)
         assert optimum.s_max <= 2.0 + 1e-9
 

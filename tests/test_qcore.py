@@ -25,13 +25,16 @@ from qfoundry.qcore import (
     MeasurementSetting,
     Observable,
     StateVector,
-    basis_state,
     expectation,
     partial_trace,
     product_probability,
     singlet,
     spin_observable,
 )
+
+
+UP = StateVector((2,), [1.0, 0.0])
+DOWN = StateVector((2,), [0.0, 1.0])
 
 
 def haar_unitary(dim, rng):
@@ -91,17 +94,19 @@ class TestContainers:
                 assert abs(np.linalg.norm(direction) - 1.0) <= qcore.ATOL
 
     def test_index_convention_subsystem0_slowest(self):
-        # |0> x |1| on (2, 2) puts the amplitude at flat index 1
-        state = basis_state((2, 2), (0, 1))
+        # |0> x |1> on (2, 2) puts the amplitude at flat index 1, and the
+        # reductions read subsystem 0 from the slowest index
+        state = StateVector((2, 2), np.kron([1.0, 0.0], [0.0, 1.0]))
         assert state.amplitudes[1] == 1.0
-        state = basis_state((2, 3), (1, 2))
+        state = StateVector((2, 3), np.kron([0.0, 1.0], np.eye(3)[2]))
         assert state.amplitudes[1 * 3 + 2] == 1.0
+        np.testing.assert_array_equal(partial_trace(state.density(), 0).matrix, np.diag([0.0, 1.0]))
+        np.testing.assert_array_equal(partial_trace(state.density(), 1).matrix, np.diag([0.0, 0.0, 1.0]))
 
 
 class TestTensor:
     def test_singlet_normalized(self):
-        up, down = basis_state((2,), (0,)), basis_state((2,), (1,))
-        amplitudes = (product_state(up, down).amplitudes - product_state(down, up).amplitudes) / np.sqrt(2.0)
+        amplitudes = (product_state(UP, DOWN).amplitudes - product_state(DOWN, UP).amplitudes) / np.sqrt(2.0)
         state = StateVector((2, 2), amplitudes)
         np.testing.assert_allclose(state.amplitudes, singlet().amplitudes)
 
@@ -134,26 +139,26 @@ class TestPartialTrace:
         assert np.max(np.abs(reduced.matrix - z_basis.matrix)) < 1e-12
 
     def test_product_state_factorizes(self):
-        rho = product_state(basis_state((2,), (0,)), basis_state((2,), (1,))).density()
+        rho = product_state(UP, DOWN).density()
         reduced = partial_trace(rho, 0)
         np.testing.assert_allclose(reduced.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_trace_preserved_and_index_checked(self):
         rng = np.random.default_rng(3)
-        state = random_state((2, 2, 3), rng)
-        reduced = partial_trace(state.density(), 2)
+        state = random_state((2, 3), rng)
+        reduced = partial_trace(state.density(), 1)
         assert reduced.dims == (3,)
         assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
-        with pytest.raises(IndexError):
-            partial_trace(state.density(), 3)
+        for keep in (-1, 2):
+            with pytest.raises(IndexError):
+                partial_trace(state.density(), keep)
 
-    def test_three_subsystem_reduction_recovers_each_factor(self):
+    def test_refuses_a_state_without_two_parties(self):
         rng = np.random.default_rng(31)
-        factors = [random_state((d,), rng) for d in (2, 3, 2)]
-        joint = product_state(*factors).density()
-        for keep, factor in enumerate(factors):
-            reduced = partial_trace(joint, keep)
-            assert np.max(np.abs(reduced.matrix - factor.density().matrix)) < 1e-12
+        for dims in ((2, 3, 2), (4,)):
+            rho = random_state(dims, rng).density()
+            with pytest.raises(ValueError, match="two-party"):
+                partial_trace(rho, 0)
 
     def test_basis_independence_of_reduction(self):
         rng = np.random.default_rng(11)
@@ -168,8 +173,7 @@ class TestPartialTrace:
 
 class TestBornRule:
     def test_eigenstate_probability_one(self):
-        up = basis_state((2,), (0,))
-        p = measure_probability(up, projector([1.0, 0.0]))
+        p = measure_probability(UP, projector([1.0, 0.0]))
         assert abs(p - 1.0) < 1e-12
 
     def test_singlet_joint_antibunching(self):
@@ -191,7 +195,7 @@ class TestBornRule:
 
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match="idempotent"):
-            measure_probability(basis_state((2,), (0,)), Observable(np.eye(2) * 0.5))
+            measure_probability(UP, Observable(np.eye(2) * 0.5))
 
     def test_complete_projector_set_sums_to_one(self):
         rng = np.random.default_rng(13)
@@ -347,7 +351,6 @@ NON_FINITE_INPUTS = {
     "DensityMatrix-off-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 1), bad)),
     "Observable": lambda bad: Observable(with_entry(np.eye(2), (1, 1), bad)),
     "MeasurementSetting": lambda bad: MeasurementSetting([0.0, bad, 1.0]),
-    "ModeRotation": lambda bad: fock.ModeRotation(bad),
     "FockState-real": lambda bad: fock.FockState({(1, 0): bad, (0, 1): 0.5}),
     "FockState-imaginary": lambda bad: fock.FockState({(1, 0): complex(0.5, bad)}),
     "GaussianPairState-plus": lambda bad: popper.GaussianPairState(bad, 0.5),
@@ -371,7 +374,6 @@ NON_FINITE_MESSAGES = {
     "DensityMatrix-diagonal": "matrix entries must be finite",
     "DensityMatrix-off-diagonal": "matrix entries must be finite",
     "Observable": "matrix entries must be finite",
-    "ModeRotation": "mode rotation angle must be finite, got -?(nan|inf)",
     "FockState-real": "amplitudes must be finite",
     "FockState-imaginary": "amplitudes must be finite",
 }

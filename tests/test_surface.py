@@ -33,7 +33,7 @@ MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
 ALLOWED = {
     "inequalities.minimize": "the benchmark tracer's hook; it goes when scipy is dropped",
     "inequalities.chsh_planar_grid_value": "the oracle of the bounds benchmark's check",
-    "hvmodels.poincare_outcome": "a model rule the README names; the tests use it as the sampler's oracle",
+    "hvmodels.poincare_outcome": "the local model's rule, which the README names; no scenario or check calls it",
     "hvmodels.leggett_outcomes": "a model rule the README names; the tests use it as the sampler's oracle",
     "report.ResultTable.add_row": "perfbench/tests builds a table row by row",
 }
