@@ -402,8 +402,7 @@ def _scenario_noon(args) -> ResultTable:
         atoms = fock.photon_atoms_entangle(state)
         for label, amplitude in zip(["|gg>", "|ge>", "|eg>", "|ee>"], atoms.amplitudes):
             rows.append((label, float(amplitude.real), float(amplitude.imag)))
-        reduced = qcore.partial_trace(atoms.density(), 0)
-        eigenvalues = np.linalg.eigvalsh(reduced.matrix).real
+        eigenvalues = np.linalg.eigvalsh(qcore.partial_trace(atoms, 0))
         extra["reduced_eigenvalues"] = [float(v) for v in eigenvalues]
         extra["entanglement_entropy_bits"] = float(-sum(v * math.log2(v) for v in eigenvalues if v > 1e-15))
     return _table(

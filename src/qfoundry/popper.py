@@ -141,6 +141,8 @@ class GridSpec:
 
     def resolve(self, state: GaussianPairState, slit: SlitCondition | None = None):
         extent = _extent(state, slit, self.extent)
+        if not 2.0 * extent < math.inf:
+            raise ValueError(f"grid extent {extent!r} is too large: the span 2 * extent overflows")
         dx = 2.0 * extent / self.points
         x = -extent + dx * np.arange(self.points)
         return x, dx

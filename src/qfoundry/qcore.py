@@ -3,7 +3,8 @@
 States, operators and measurement settings are thin frozen wrappers around
 numpy arrays that validate their defining invariants on construction and are
 immutable afterwards, so every operation here is a pure function and safe to
-call concurrently.
+call concurrently.  States are pure; the reduced density matrix of a
+two-party state is a plain array, computed from its amplitude matrix.
 
 Index convention: subsystem 0 is the slowest-varying tensor index.  For
 ``dims = (2, 2)`` the amplitude order is |00>, |01>, |10>, |11>.  Global
@@ -17,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances: 1e-12 for algebraic identities, 1e-10 for eigenvalue
-# positivity (double precision, dim <= 16).
+# Tolerance for algebraic identities (double precision, dim <= 16).
 ATOL = 1e-12
-PSD_ATOL = 1e-10
 _SMALLEST_NORMAL = 2.0**-1022
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -33,16 +32,6 @@ def _norm_squared(values, axis=None) -> np.ndarray:
     """Sum of |v|^2 over ``axis``; a sum past the float range is inf, with no overflow warning."""
     with np.errstate(over="ignore"):
         return np.sum(np.abs(values) ** 2, axis=axis)
-
-
-def _as_complex_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # refused before m - m^H turns an infinite entry into a NaN warning
-        raise ValueError("matrix entries must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -60,7 +49,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amplitudes)
         if any(d < 2 for d in dims):
             raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
-        expected = math.prod(dims) if dims else 1
+        expected = math.prod(dims)
         if self.amplitudes.size != expected:
             raise ValueError(
                 f"amplitude length {self.amplitudes.size} does not match "
@@ -69,39 +58,6 @@ class StateVector:
         norm_sq = float(_norm_squared(self.amplitudes))
         if not abs(norm_sq - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    dims: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix))
-        expected = math.prod(dims) if dims else 1
-        if self.matrix.shape[0] != expected:
-            raise ValueError(
-                f"matrix dimension {self.matrix.shape[0]} does not match "
-                f"prod(dims) = {expected}"
-            )
-        m = self.matrix
-        if not np.max(np.abs(m - m.conj().T)) <= ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues.min() < -PSD_ATOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {float(eigenvalues.min())!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -112,8 +68,13 @@ class Observable:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix))
-        m = self.matrix
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():  # refused before m - m^H turns an infinite entry into a NaN warning
+            raise ValueError("matrix entries must be finite")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         if not np.max(np.abs(m - m.conj().T)) <= ATOL:
             raise ValueError(f"observable {self.label!r} is not Hermitian within 1e-12")
 
@@ -152,15 +113,18 @@ class MeasurementSetting:
         return float(self.direction @ other.direction)
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduce the two-party ``rho`` to party ``keep`` (0 or 1), tracing out the other."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"partial_trace takes a two-party state, got dims {rho.dims}")
+def partial_trace(state: StateVector, keep: int) -> np.ndarray:
+    """Reduced density matrix of the two-party pure ``state`` on party ``keep`` (0 or 1).
+
+    With the amplitudes as a matrix m[i, j], tracing out party 1 leaves
+    m m^H and tracing out party 0 leaves m^T conj(m).
+    """
+    if len(state.dims) != 2:
+        raise ValueError(f"partial_trace takes a two-party state, got dims {state.dims}")
     if keep not in (0, 1):
         raise IndexError(f"keep index {keep} out of range for 2 subsystems")
-    t = rho.matrix.reshape(*rho.dims, *rho.dims)
-    reduced = np.einsum("arbr->ab" if keep == 0 else "rarb->ab", t)
-    return DensityMatrix((rho.dims[keep],), reduced)
+    m = state.amplitudes.reshape(state.dims)
+    return m @ m.conj().T if keep == 0 else m.T @ m.conj()
 
 
 def product_probability(psi, ket_a, ket_b) -> np.ndarray:

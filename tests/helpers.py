@@ -13,10 +13,13 @@ dense products of the validated 3x3 observables A_j = I - 2|l_j><l_j|.  The
 array kernel ``qcore.product_probability`` and its callers are checked
 against these.  ``render_table_csv_oracle`` is the former
 ``report.render_table_csv``: each cell through ``report._csv_cell``, one
-row of the table's columns at a time.
+row of the table's columns at a time.  ``partial_trace_oracle`` is the
+former ``qcore.partial_trace``: the outer product |psi><psi| traced over
+the other party with ``einsum``.
 """
 
 import csv
+import dataclasses
 import functools
 import io
 import math
@@ -162,3 +165,20 @@ def render_table_csv_oracle(table):
     for row in zip(*table.data):
         writer.writerow([report._csv_cell(v) for v in row])
     return buffer.getvalue()
+
+
+def partial_trace_oracle(state, keep):
+    """The reduced state of the two-party ``state`` on party ``keep``, traced from |psi><psi|."""
+    rho = np.outer(state.amplitudes, state.amplitudes.conj()).reshape(*state.dims, *state.dims)
+    return np.einsum("arbr->ab" if keep == 0 else "rarb->ab", rho)
+
+
+def validated_value_types(modules):
+    """Names of the value types in ``modules``: dataclasses defined there whose ``__post_init__`` validates them."""
+    return [
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+        and value.__module__ == module.__name__ and "__post_init__" in vars(value)
+    ]

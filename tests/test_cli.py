@@ -374,6 +374,19 @@ class TestErrorMessages:
         assert out == ""
         assert err.startswith("error: ") and "square" in err
 
+    # a numpy warning then raises instead of printing before the refusal
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["popper", "--points", "4", "--extent", "1e308"], ["popper", "--points", "8", "--center", "1.7e308"]],
+        ids=["extent", "derived-extent"],
+    )
+    def test_popper_grid_whose_span_overflows_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid extent ") and err.count("\n") == 1 and "Warning" not in err, err
+
 
 class TestScanSpec:
     def test_scan_never_passes_upper_bound(self, capsys):

@@ -132,9 +132,9 @@ class TestPhotonAtoms:
     def test_reduced_atom_state_is_maximally_mixed(self):
         atoms = photon_atoms_entangle(noon_state(1))
         for keep in (0, 1):
-            reduced = qcore.partial_trace(atoms.density(), keep)
-            assert np.max(np.abs(reduced.matrix - np.eye(2) / 2.0)) < 1e-12
-        eigenvalues = np.linalg.eigvalsh(qcore.partial_trace(atoms.density(), 0).matrix)
+            reduced = qcore.partial_trace(atoms, keep)
+            assert np.max(np.abs(reduced - np.eye(2) / 2.0)) < 1e-12
+        eigenvalues = np.linalg.eigvalsh(qcore.partial_trace(atoms, 0))
         entropy = -sum(v * math.log2(v) for v in eigenvalues)
         assert abs(entropy - 1.0) < 1e-12
 

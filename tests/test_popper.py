@@ -442,6 +442,14 @@ class TestGridBound:
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
             GridSpec(MAX_GRID_POINTS + 1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_whose_span_overflows_is_refused_without_a_warning(self):
+        state = GaussianPairState(1.0, 0.5)
+        with pytest.raises(ValueError, match=r"grid extent 1e\+308"):
+            conditional_uncertainties(state, SlitCondition(0.5), GridSpec(8, 1e308))
+        with pytest.raises(ValueError, match=r"grid extent 1.7e\+308"):
+            conditional_uncertainties(state, SlitCondition(0.5, center=1.7e308), GridSpec(8))
+
     def test_auto_grid_beyond_cap_rejected(self):
         state = GaussianPairState(1.0, 0.5)
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):

@@ -1,6 +1,5 @@
 """Core linear algebra: containers, reductions, Born rule."""
 
-import dataclasses
 import math
 import warnings
 
@@ -13,15 +12,16 @@ from helpers import (
     apply_unitary,
     kron_projector,
     measure_probability,
+    partial_trace_oracle,
     product_state,
     projector,
     random_setting,
     random_state,
+    validated_value_types,
 )
 
 from qfoundry import fock, hvmodels, inequalities, popper, qcore
 from qfoundry.qcore import (
-    DensityMatrix,
     MeasurementSetting,
     Observable,
     StateVector,
@@ -55,14 +55,6 @@ class TestContainers:
     def test_state_rejects_trivial_subsystem(self):
         with pytest.raises(ValueError, match=">= 2"):
             StateVector((1, 4), [1.0, 0.0, 0.0, 0.0])
-
-    def test_density_matrix_checks(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix((2,), [[0.5, 1.0], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix((2,), np.eye(2))
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix((2,), [[1.5, 0.0], [0.0, -0.5]])
 
     def test_observable_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -100,8 +92,8 @@ class TestContainers:
         assert state.amplitudes[1] == 1.0
         state = StateVector((2, 3), np.kron([0.0, 1.0], np.eye(3)[2]))
         assert state.amplitudes[1 * 3 + 2] == 1.0
-        np.testing.assert_array_equal(partial_trace(state.density(), 0).matrix, np.diag([0.0, 1.0]))
-        np.testing.assert_array_equal(partial_trace(state.density(), 1).matrix, np.diag([0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(partial_trace(state, 0), np.diag([0.0, 1.0]))
+        np.testing.assert_array_equal(partial_trace(state, 1), np.diag([0.0, 0.0, 1.0]))
 
 
 class TestTensor:
@@ -115,50 +107,46 @@ class TestTensor:
         for _ in range(20):
             s1 = random_state((2,), rng)
             s2 = random_state((3,), rng)
-            joint = product_state(s1, s2).density()
+            joint = product_state(s1, s2)
             for keep, factor in ((0, s1), (1, s2)):
                 reduced = partial_trace(joint, keep)
-                expected = factor.density().matrix
-                assert np.max(np.abs(reduced.matrix - expected)) < 1e-12
+                expected = np.outer(factor.amplitudes, factor.amplitudes.conj())
+                assert np.max(np.abs(reduced - expected)) < 1e-12
 
 
 class TestPartialTrace:
     def test_singlet_reduces_to_maximally_mixed(self):
-        rho = singlet().density()
         for keep in (0, 1):
-            reduced = partial_trace(rho, keep)
-            assert np.max(np.abs(reduced.matrix - np.eye(2) / 2.0)) < 1e-12
+            reduced = partial_trace(singlet(), keep)
+            assert np.max(np.abs(reduced - np.eye(2) / 2.0)) < 1e-12
 
     def test_plus_minus_basis_reduction_identical(self):
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
         amplitudes = (np.kron(plus, minus) - np.kron(minus, plus)) / np.sqrt(2.0)
-        rho = StateVector((2, 2), amplitudes).density()
-        reduced = partial_trace(rho, 1)
-        z_basis = partial_trace(singlet().density(), 1)
-        assert np.max(np.abs(reduced.matrix - z_basis.matrix)) < 1e-12
+        reduced = partial_trace(StateVector((2, 2), amplitudes), 1)
+        z_basis = partial_trace(singlet(), 1)
+        assert np.max(np.abs(reduced - z_basis)) < 1e-12
 
     def test_product_state_factorizes(self):
-        rho = product_state(UP, DOWN).density()
-        reduced = partial_trace(rho, 0)
-        np.testing.assert_allclose(reduced.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+        reduced = partial_trace(product_state(UP, DOWN), 0)
+        np.testing.assert_allclose(reduced, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_trace_preserved_and_index_checked(self):
         rng = np.random.default_rng(3)
         state = random_state((2, 3), rng)
-        reduced = partial_trace(state.density(), 1)
-        assert reduced.dims == (3,)
-        assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
+        reduced = partial_trace(state, 1)
+        assert reduced.shape == (3, 3)
+        assert abs(np.trace(reduced) - 1.0) < 1e-12
         for keep in (-1, 2):
             with pytest.raises(IndexError):
-                partial_trace(state.density(), keep)
+                partial_trace(state, keep)
 
     def test_refuses_a_state_without_two_parties(self):
         rng = np.random.default_rng(31)
         for dims in ((2, 3, 2), (4,)):
-            rho = random_state(dims, rng).density()
             with pytest.raises(ValueError, match="two-party"):
-                partial_trace(rho, 0)
+                partial_trace(random_state(dims, rng), 0)
 
     def test_basis_independence_of_reduction(self):
         rng = np.random.default_rng(11)
@@ -166,9 +154,18 @@ class TestPartialTrace:
             state = random_state((2, 2), rng)
             u = haar_unitary(2, rng)
             rotated = apply_unitary(state, u, subsystem=0)
-            direct = partial_trace(state.density(), 1)
-            via_rotation = partial_trace(rotated.density(), 1)
-            assert np.max(np.abs(direct.matrix - via_rotation.matrix)) < 1e-12
+            direct = partial_trace(state, 1)
+            via_rotation = partial_trace(rotated, 1)
+            assert np.max(np.abs(direct - via_rotation)) < 1e-12
+
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]), st.sampled_from([0, 1]), st.integers(0, 2**32 - 1))
+    def test_is_the_traced_outer_product_and_a_density_matrix(self, d0, d1, keep, seed):
+        state = random_state((d0, d1), np.random.default_rng(seed))
+        reduced = partial_trace(state, keep)
+        assert np.max(np.abs(reduced - partial_trace_oracle(state, keep))) <= 1e-15
+        assert np.max(np.abs(reduced - reduced.conj().T)) <= 1e-15
+        assert abs(np.trace(reduced) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(reduced).min() >= -1e-12
 
 
 class TestBornRule:
@@ -347,8 +344,6 @@ def with_entry(values, index, bad):
 # a key names the value type, and a suffix after "-" the input it breaks
 NON_FINITE_INPUTS = {
     "StateVector": lambda bad: StateVector((2,), [bad, 0.0]),
-    "DensityMatrix-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 0), bad)),
-    "DensityMatrix-off-diagonal": lambda bad: DensityMatrix((2,), with_entry(np.eye(2) / 2.0, (0, 1), bad)),
     "Observable": lambda bad: Observable(with_entry(np.eye(2), (1, 1), bad)),
     "MeasurementSetting": lambda bad: MeasurementSetting([0.0, bad, 1.0]),
     "FockState-real": lambda bad: fock.FockState({(1, 0): bad, (0, 1): 0.5}),
@@ -371,8 +366,6 @@ NON_FINITE_INPUTS = {
 
 # the refusal's wording, where it is pinned
 NON_FINITE_MESSAGES = {
-    "DensityMatrix-diagonal": "matrix entries must be finite",
-    "DensityMatrix-off-diagonal": "matrix entries must be finite",
     "Observable": "matrix entries must be finite",
     "FockState-real": "amplitudes must be finite",
     "FockState-imaginary": "amplitudes must be finite",
@@ -390,13 +383,7 @@ def test_value_types_refuse_non_finite_input(name, bad):
 
 def test_every_checked_value_type_is_in_the_non_finite_table():
     checked = {name.split("-")[0] for name in NON_FINITE_INPUTS}
-    value_types = [
-        name
-        for module in (qcore, fock, popper, hvmodels, inequalities)
-        for name, value in vars(module).items()
-        if isinstance(value, type) and dataclasses.is_dataclass(value)
-        and value.__module__ == module.__name__ and "__post_init__" in vars(value)
-    ]
+    value_types = validated_value_types((qcore, fock, popper, hvmodels, inequalities))
     assert value_types
     assert sorted(set(value_types) - checked) == []
 

@@ -8,7 +8,8 @@ For a module-level name a reference is a ``module.NAME`` access, a
 ``from .module import NAME`` (``from . import NAME`` for the package's
 ``__init__``) or a bare use inside its own module; for a
 method it is an attribute access by its name.  The README block is also
-run here, so the names it shows are known to work.
+run here, so the names it shows are known to work, and its list of the
+library value types must name exactly the validated dataclasses in ``src/``.
 
 The test files are parsed too: no hypothesis test may run under a
 ``filterwarnings("error")`` mark.  The hypothesis plugin reports a failing
@@ -20,10 +21,13 @@ inside the example.
 
 import ast
 import contextlib
+import importlib
 import io
 import pathlib
 import re
 import textwrap
+
+from helpers import validated_value_types
 
 TESTS = pathlib.Path(__file__).parent
 SRC = TESTS.parent / "src" / "qfoundry"
@@ -117,6 +121,14 @@ def test_library_block_runs_and_prints_its_comments():
     assert printed and len(printed) == len(expected)
     for value, digits in zip(printed, expected):
         assert value.startswith(digits), (value, digits)
+
+
+def test_readme_lists_the_validated_value_types():
+    modules = [importlib.import_module(f"qfoundry.{stem}") for stem in MODULES if stem != "__init__"]
+    value_types = validated_value_types(modules)
+    listed = re.search(r"The library value types \(([^)]*)\)", README.read_text(encoding="utf-8")).group(1)
+    assert value_types
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(value_types)
 
 
 def errors_on_warnings(node):
