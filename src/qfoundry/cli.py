@@ -331,15 +331,15 @@ def _scenario_leggett(args) -> ResultTable:
 def _scenario_kcbs(args) -> ResultTable:
     from . import inequalities
 
-    config = inequalities.kcbs_build_pentagram()
+    directions, state = inequalities.kcbs_build_pentagram()
     values = {
-        "s_kcbs": inequalities.kcbs_value(config),
+        "s_kcbs": inequalities.kcbs_value(directions, state),
         "classical_minimum": float(inequalities.kcbs_classical_minimum()),
         "quantum_closed_form": inequalities.KCBS_QUANTUM_VALUE,
-        "max_adjacent_dot": config.max_adjacent_dot(),
+        "max_adjacent_dot": inequalities.max_adjacent_dot(directions),
     }
     for j in range(5):
-        for axis, component in zip("xyz", config.directions[j]):
+        for axis, component in zip("xyz", directions[j]):
             values[f"l{j}_{axis}"] = float(component)
     return _quantities(
         args,

@@ -221,45 +221,13 @@ def leggett_violation_argmax_oracle() -> float:
     return 2.0 * math.asin(1.0 / (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class KcbsConfiguration:
-    """Five projection directions with cyclic adjacent orthogonality."""
-
-    directions: np.ndarray
-    state_direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.shape != (5, 3):
-            raise ValueError(f"expected five 3-vectors, got shape {d.shape}")
-        # unit within qcore.ATOL in squared norm, as qcore.product_probability checks its kets
-        if not np.max(np.abs(np.sum(d * d, axis=1) - 1.0)) <= qcore.ATOL:
-            raise ValueError("projection directions must be unit vectors")
-        for j in range(5):
-            dot = float(d[j] @ d[(j + 1) % 5])
-            if not abs(dot) <= 1e-10:
-                raise ValueError(
-                    f"adjacent directions {j} and {(j + 1) % 5} are not orthogonal "
-                    f"(dot = {dot!r}); the measurements are incompatible"
-                )
-        psi = np.asarray(self.state_direction, dtype=float).reshape(-1)
-        if psi.size != 3 or not abs(float(np.sum(psi * psi)) - 1.0) <= qcore.ATOL:
-            raise ValueError("state direction must be a unit 3-vector")
-        d.setflags(write=False)
-        psi.setflags(write=False)
-        object.__setattr__(self, "directions", d)
-        object.__setattr__(self, "state_direction", psi)
-
-    def max_adjacent_dot(self) -> float:
-        return max(abs(float(self.directions[j] @ self.directions[(j + 1) % 5])) for j in range(5))
-
-
-def kcbs_build_pentagram() -> KcbsConfiguration:
-    """The symmetric pentagram of compatible directions around the z axis.
+def kcbs_build_pentagram() -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric pentagram of compatible directions around the z axis, and the probe state.
 
     l_j = (sin(t) cos(4*pi*j/5), sin(t) sin(4*pi*j/5), cos(t)) with
     cos^2(t) = cos(pi/5)/(1 + cos(pi/5)); adjacent pairs are orthogonal and
-    the probe state sits on the symmetry axis.
+    the probe state sits on the symmetry axis.  Returns the (5, 3) array of
+    directions l_j and the qutrit state (0, 0, 1).
     """
     cos_sq = math.cos(math.pi / 5.0) / (1.0 + math.cos(math.pi / 5.0))
     theta = math.acos(math.sqrt(cos_sq))
@@ -273,16 +241,26 @@ def kcbs_build_pentagram() -> KcbsConfiguration:
         ],
         axis=1,
     )
-    return KcbsConfiguration(directions, np.array([0.0, 0.0, 1.0]))
+    return directions, np.array([0.0, 0.0, 1.0])
 
 
-def kcbs_value(config: KcbsConfiguration) -> float:
+def max_adjacent_dot(directions) -> float:
+    """max_j |l_j . l_j+1| over the five cyclically adjacent pairs of ``directions``; NaN if any dot is NaN."""
+    d = np.asarray(directions, dtype=float)
+    return float(np.max([abs(float(d[j] @ d[(j + 1) % 5])) for j in range(5)]))
+
+
+def kcbs_value(directions, state) -> float:
     """Sum of adjacent-pair correlations <A_j A_j+1> of the +-1 observables A_j = I - 2|l_j><l_j|.
 
     Adjacent directions are orthogonal, so A_j A_j+1 = I - 2 P_j - 2 P_j+1 and the sum is
     5 - 4 sum_j |<l_j|psi>|^2: one Born call, the qutrit the first party of a 3x1 two-party state.
+    Raises ValueError unless there are five directions, each orthogonal to the next within
+    1e-10; the Born call refuses directions or a state that are not finite unit vectors.
     """
-    p = qcore.product_probability(config.state_direction.reshape(3, 1), config.directions, [1.0])
+    if len(directions) != 5 or not max_adjacent_dot(directions) <= 1e-10:
+        raise ValueError("need five directions, each orthogonal to the next within 1e-10: these are not orthogonal")
+    p = qcore.product_probability(np.reshape(state, (3, 1)), directions, [1.0])
     return 5.0 - 4.0 * float(np.sum(p))
 
 

@@ -115,9 +115,9 @@ class SlitCondition:
         return (np.abs(x - self.center) <= self.width / 2.0).astype(float)
 
 
-def _extent(state: GaussianPairState, slit: SlitCondition | None, extent: float | None = None) -> float:
+def _extent(state: GaussianPairState, slit: SlitCondition, extent: float | None = None) -> float:
     """Grid half-width: ``extent`` if set, else eight of the wider spread plus the slit's offset."""
-    return extent or 8.0 * max(state.sigma_plus, state.sigma_minus) + (abs(slit.center) if slit is not None else 0.0)
+    return extent or 8.0 * max(state.sigma_plus, state.sigma_minus) + abs(slit.center)
 
 
 def _smallest_scale(state: GaussianPairState, slit: SlitCondition) -> float:
@@ -139,7 +139,7 @@ class GridSpec:
             raise ValueError(f"extent must be positive and finite, got {self.extent!r}")
         object.__setattr__(self, "points", int(self.points))
 
-    def resolve(self, state: GaussianPairState, slit: SlitCondition | None = None):
+    def resolve(self, state: GaussianPairState, slit: SlitCondition):
         extent = _extent(state, slit, self.extent)
         if not 2.0 * extent < math.inf:
             raise ValueError(f"grid extent {extent!r} is too large: the span 2 * extent overflows")

@@ -267,9 +267,9 @@ def check_chsh(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
 
 def check_kcbs(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     """Criterion 7: pentagram orthogonality, quantum value, classical minimum."""
-    config = inequalities.kcbs_build_pentagram()
-    adjacency = config.max_adjacent_dot()
-    value = inequalities.kcbs_value(config)
+    directions, state = inequalities.kcbs_build_pentagram()
+    adjacency = inequalities.max_adjacent_dot(directions)
+    value = inequalities.kcbs_value(directions, state)
     value_error = abs(value - inequalities.KCBS_QUANTUM_VALUE)
     classical = inequalities.kcbs_classical_minimum()
     passed = adjacency < 1e-12 and value_error < 1e-9 and classical == -3

@@ -15,14 +15,19 @@ against these.  ``render_table_csv_oracle`` is the former
 ``report.render_table_csv``: each cell through ``report._csv_cell``, one
 row of the table's columns at a time.  ``partial_trace_oracle`` is the
 former ``qcore.partial_trace``: the outer product |psi><psi| traced over
-the other party with ``einsum``.
+the other party with ``einsum``.  ``fock_norm`` is the former
+``FockState.norm`` without its overflow rescale, for the tests that check
+that the splitter keeps the norm.
 """
 
+import ast
 import csv
 import dataclasses
 import functools
+import inspect
 import io
 import math
+import textwrap
 
 import numpy as np
 
@@ -142,12 +147,12 @@ def polarization_oracle(theta):
     return p_both_pass + p_both_block, p_both_pass
 
 
-def kcbs_value_oracle(config):
+def kcbs_value_oracle(directions, state):
     """sum_j <psi|A_j A_j+1|psi> of the +-1 observables A_j = I - 2|l_j><l_j|, one dense product per pair."""
-    psi = StateVector((3,), config.state_direction.astype(complex))
+    psi = StateVector((3,), state)
     observables = [
         Observable(np.eye(3, dtype=complex) - 2.0 * projector(direction).matrix, label=f"A_{j}")
-        for j, direction in enumerate(config.directions)
+        for j, direction in enumerate(directions)
     ]
     total = 0.0
     for j in range(5):
@@ -155,6 +160,11 @@ def kcbs_value_oracle(config):
         # adjacent observables commute, so the product is Hermitian
         total += qcore.expectation(psi, Observable(product, label=f"A_{j}A_{(j + 1) % 5}"))
     return total
+
+
+def fock_norm(state):
+    """The 2-norm of a ``fock.FockState``'s amplitudes."""
+    return float(np.linalg.norm(list(state.amplitudes.values())))
 
 
 def render_table_csv_oracle(table):
@@ -173,12 +183,19 @@ def partial_trace_oracle(state, keep):
     return np.einsum("arbr->ab" if keep == 0 else "rarb->ab", rho)
 
 
+def can_raise(function):
+    """Whether the source of ``function`` holds a ``raise`` statement."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+
+
 def validated_value_types(modules):
-    """Names of the value types in ``modules``: dataclasses defined there whose ``__post_init__`` validates them."""
+    """Names of the value types in ``modules``: dataclasses defined there whose ``__post_init__`` can raise."""
     return [
         name
         for module in modules
         for name, value in vars(module).items()
         if isinstance(value, type) and dataclasses.is_dataclass(value)
         and value.__module__ == module.__name__ and "__post_init__" in vars(value)
+        and can_raise(value.__post_init__)
     ]

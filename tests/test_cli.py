@@ -124,6 +124,11 @@ class TestScenarioTables:
         payload = load_json_table(out)
         assert abs(table_value(payload, "s_max") - 2.0 * math.sqrt(2.0)) < 1e-6
 
+    def test_chsh_product_state_reaches_the_local_bound(self, capsys):
+        code, out, _ = run_cli(["chsh", "--state", "product"], capsys)
+        assert code == 0
+        assert table_value(json.loads(out), "s_max") == 2.0
+
     def test_noon_single_photon_reports_entropy(self, capsys):
         code, out, _ = run_cli(["noon", "--n", "1"], capsys)
         assert code == 0
@@ -259,6 +264,12 @@ class TestExitCodes:
         code, _, err = run_cli(["leggett", "--u", "0,0,1"], capsys)
         assert code == 2
         assert "--u" in err or "model mode" in err
+
+    def test_slit_far_outside_the_pair_exits_2(self, capsys):
+        # the conditional wavefunction underflows to zero on every grid point
+        code, out, err = run_cli(["popper", "--center", "50", "--width", "0.1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: conditional wavefunction vanishes on the grid\n"
 
 
 class TestErrorMessages:
@@ -411,6 +422,19 @@ class TestScanSpec:
         code, _, err = run_cli(["hardy", "--scan-gamma", "0:inf:1"], capsys)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1:2", "--scan-phi must look like lo:hi:step, got '1:2'"),
+            ("a:2:1", "--scan-phi: non-numeric bound in 'a:2:1'"),
+        ],
+        ids=["two-parts", "non-numeric"],
+    )
+    def test_malformed_scan_exits_2(self, spec, message, capsys):
+        code, out, err = run_cli(["leggett", "--scan-phi", spec], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_scan_at_the_cap_is_accepted(self):
         points = cli._parse_scan(f"0:{cli.MAX_SCAN_POINTS - 1}:1", "--scan-phi")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import apply_unitary
+from helpers import apply_unitary, fock_norm
 
 from qfoundry import qcore
 from qfoundry.fock import (
@@ -28,7 +28,7 @@ def random_fock(rng, max_photons=6):
         for n_b in range(max_photons + 1 - n_a):
             amp[n_a, n_b] = rng.normal() + 1j * rng.normal()
     state = FockState(amp)
-    return FockState({key: value / state.norm for key, value in state.amplitudes.items()})
+    return FockState({key: value / fock_norm(state) for key, value in state.amplitudes.items()})
 
 
 def number_distribution(state):
@@ -43,12 +43,6 @@ def overlap(bra, ket):
 
 
 class TestFockState:
-    def test_refuses_negative_occupation(self):
-        with pytest.raises(ValueError, match=r"occupation \(-1, 2\) must be nonnegative"):
-            FockState({(-1, 2): 1.0})
-        with pytest.raises(ValueError, match="nonnegative"):
-            fock_basis(0, -1)
-
     def test_is_a_read_only_map_in_sorted_key_order(self):
         state = FockState({(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.0})
         assert list(state.amplitudes) == [(0, 2), (1, 1), (2, 0)]
@@ -60,7 +54,7 @@ class TestFockState:
 
     def test_amplitude_and_norm(self):
         state = noon_state(2)
-        assert abs(state.norm - 1.0) < 1e-15
+        assert abs(fock_norm(state) - 1.0) < 1e-15
         assert abs(state.amplitude(2, 0) - 1.0 / SQRT2) < 1e-15
         assert state.amplitude(1, 1) == 0.0
 
@@ -89,14 +83,14 @@ class TestModeRotation:
     def test_vacuum_is_invariant(self):
         output = apply_rotation(fock_basis(0, 0))
         assert output.amplitude(0, 0) == 1.0
-        assert abs(output.norm - 1.0) < 1e-15
+        assert abs(fock_norm(output) - 1.0) < 1e-15
 
     def test_rotations_preserve_norm_and_photon_number(self):
         rng = np.random.default_rng(81)
         for _ in range(20):
             state = random_fock(rng, max_photons=6)
             rotated = apply_rotation(state)
-            assert abs(rotated.norm - 1.0) < 1e-12
+            assert abs(fock_norm(rotated) - 1.0) < 1e-12
             np.testing.assert_allclose(number_distribution(rotated), number_distribution(state), atol=1e-12)
 
     def test_rotation_is_its_own_inverse(self):
@@ -160,7 +154,7 @@ class TestBasisRelabelingDemo:
         naive = FockState({(2, 0): c[0], (1, 1): (c[1] + c[2]) / SQRT2, (0, 2): c[3]})
         physical = hong_ou_mandel_output()
         fidelity = abs(overlap(physical, naive)) ** 2
-        assert abs(naive.norm**2 - 0.5) < 1e-12
+        assert abs(fock_norm(naive) ** 2 - 0.5) < 1e-12
         assert abs(fidelity - 0.5) < 1e-12
         assert fidelity < 1.0
 
@@ -197,4 +191,4 @@ def test_truncation_cap(make, occupied):
     """No constructor caps the photon number; a state past the old cap stores only its occupied entries."""
     state = make()
     assert list(state.amplitudes) == occupied
-    assert abs(state.norm - 1.0) < 1e-15
+    assert abs(fock_norm(state) - 1.0) < 1e-15

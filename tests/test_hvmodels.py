@@ -98,6 +98,8 @@ class TestLocalHVTable:
             LocalHVTable(np.full(8, 0.25))
         with pytest.raises(ValueError):
             LocalHVTable(np.array([1.5, -0.5, 0, 0, 0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="expected 8 weights, got 4"):
+            LocalHVTable(np.full(4, 0.25))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_weights_must_be_finite(self, bad):
@@ -199,6 +201,19 @@ class TestLeggettOutcomes:
 
 
 class TestLeggettExpectations:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"method": "exact"}, "unknown method 'exact'"),
+            ({"method": "monte-carlo", "n_samples": 0}, "n_samples must be positive"),
+            ({"method": "monte-carlo", "n_samples": 10, "shards": 0}, "shards must be positive"),
+        ],
+        ids=["method", "n-samples", "shards"],
+    )
+    def test_refuses_a_bad_argument(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            leggett_expectations(in_plane_params(), **kwargs)
+
     def test_perfectly_aligned_analyzers(self):
         result = leggett_expectations(in_plane_params(0.3, 0.3))
         assert abs(result.mean_ab + 1.0) < 1e-12
@@ -591,6 +606,8 @@ def test_fibonacci_sphere_properties():
     np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-12)
     # deterministic
     np.testing.assert_array_equal(points, fibonacci_sphere(97))
+    with pytest.raises(ValueError, match="n must be positive"):
+        fibonacci_sphere(0)
     # reasonable spread: no two points closer than ~ average spacing / 4
     gram = points @ points.T
     np.fill_diagonal(gram, -1.0)

@@ -12,7 +12,6 @@ from qfoundry import inequalities as ineq
 from qfoundry import qcore, verify
 from qfoundry.inequalities import (
     CorrelationRecord,
-    KcbsConfiguration,
     chsh_optimize,
     chsh_planar_grid_value,
     chsh_value,
@@ -27,6 +26,7 @@ from qfoundry.inequalities import (
     leggett_quantum_value,
     leggett_violation_argmax_oracle,
     leggett_violation_scan,
+    max_adjacent_dot,
     qm_same_polarization_probability,
     tlm_check,
     tlm_sides,
@@ -106,6 +106,10 @@ class TestChsh:
             CorrelationRecord(np.array([[1.2, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             CorrelationRecord(np.zeros((3, 2)))
+
+    def test_correlation_matrix_takes_two_qubits(self):
+        with pytest.raises(ValueError, match=r"expected a two-qubit state, got dims \(2, 3\)"):
+            ineq.correlation_matrix(random_state((2, 3), np.random.default_rng(5)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_record_rejects_non_finite(self, bad):
@@ -304,17 +308,19 @@ class TestLeggettModelChsh:
 
 class TestKcbs:
     def test_pentagram_geometry(self):
-        config = kcbs_build_pentagram()
-        np.testing.assert_allclose(np.linalg.norm(config.directions, axis=1), 1.0, atol=1e-12)
-        assert config.max_adjacent_dot() < 1e-12
+        directions, _ = kcbs_build_pentagram()
+        np.testing.assert_allclose(np.linalg.norm(directions, axis=1), 1.0, atol=1e-12)
+        assert max_adjacent_dot(directions) < 1e-12
+        directions[2, 0] = math.nan
+        assert math.isnan(max_adjacent_dot(directions))
 
     def test_axial_state_sees_equal_overlaps(self):
-        config = kcbs_build_pentagram()
-        overlaps = (config.directions @ config.state_direction) ** 2
+        directions, state = kcbs_build_pentagram()
+        overlaps = (directions @ state) ** 2
         np.testing.assert_allclose(overlaps, overlaps[0], atol=1e-12)
 
     def test_quantum_value_is_five_minus_four_root_five(self):
-        value = kcbs_value(kcbs_build_pentagram())
+        value = kcbs_value(*kcbs_build_pentagram())
         assert abs(value - (5.0 - 4.0 * math.sqrt(5.0))) < 1e-9
         assert abs(value - (-3.9442719099991588)) < 1e-9
         assert value == ineq.KCBS_QUANTUM_VALUE
@@ -332,18 +338,18 @@ class TestKcbs:
         cross = np.cross(directions[3], directions[0])
         assume(np.linalg.norm(cross) > 0.1)
         directions.append(cross / np.linalg.norm(cross))
-        config = KcbsConfiguration(np.stack(directions), raw[4] / np.linalg.norm(raw[4]))
+        directions, state = np.stack(directions), raw[4] / np.linalg.norm(raw[4])
         # the closed form drops the 4 <P_j P_j+1> cross terms, each at most 4 |l_j . l_j+1|
-        bound = 20.0 * config.max_adjacent_dot() + 1e-14
-        assert abs(kcbs_value(config) - kcbs_value_oracle(config)) <= bound
+        bound = 20.0 * max_adjacent_dot(directions) + 1e-14
+        assert abs(kcbs_value(directions, state) - kcbs_value_oracle(directions, state)) <= bound
 
     @pytest.mark.parametrize("which", ["direction", "state"])
     def test_unit_norm_is_checked_in_squared_norm_within_atol(self, which):
-        # the type's norm rule is the Born kernel's: |v|^2 within qcore.ATOL of 1
+        # the norm rule is the Born kernel's: |v|^2 within qcore.ATOL of 1
         pentagram = kcbs_build_pentagram()
 
         def stretched(norm_sq_excess):
-            directions, psi = pentagram.directions.copy(), pentagram.state_direction.copy()
+            directions, psi = (values.copy() for values in pentagram)
             scale = math.sqrt(1.0 + norm_sq_excess)
             if which == "direction":
                 directions[2] *= scale
@@ -354,8 +360,8 @@ class TestKcbs:
         # 1.8e-12 is a norm of 1 + 0.9e-12, which a rule on |v| within 1e-12 would take and the kernel refuse
         for excess in (1.8e-12, 2e-12):
             with pytest.raises(ValueError, match="unit"):
-                KcbsConfiguration(*stretched(excess))
-        value = kcbs_value(KcbsConfiguration(*stretched(0.5e-12)))
+                kcbs_value(*stretched(excess))
+        value = kcbs_value(*stretched(0.5e-12))
         assert abs(value - ineq.KCBS_QUANTUM_VALUE) < 1e-11
 
     def test_classical_minimum_is_exactly_minus_three(self):
@@ -372,15 +378,17 @@ class TestKcbs:
             assert weights @ values >= -3.0 - 1e-12
 
     def test_equatorial_state_sits_above_quantum_minimum(self):
-        config = kcbs_build_pentagram()
-        tilted = KcbsConfiguration(config.directions, np.array([1.0, 0.0, 0.0]))
-        assert kcbs_value(tilted) > 5.0 - 4.0 * math.sqrt(5.0) + 0.1
+        directions, _ = kcbs_build_pentagram()
+        assert kcbs_value(directions, np.array([1.0, 0.0, 0.0])) > 5.0 - 4.0 * math.sqrt(5.0) + 0.1
 
     def test_incompatible_directions_rejected(self):
-        directions = kcbs_build_pentagram().directions.copy()
-        directions[1] = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="not orthogonal"):
-            KcbsConfiguration(directions, np.array([0.0, 0.0, 1.0]))
+        pentagram, axis = kcbs_build_pentagram()
+        tilted = pentagram.copy()
+        tilted[1] = np.array([0.0, 0.0, 1.0])
+        # a non-adjacent pair, and a count other than five, are refused the same way
+        for directions in (tilted, pentagram[:4], np.vstack([pentagram, axis])):
+            with pytest.raises(ValueError, match="not orthogonal"):
+                kcbs_value(directions, axis)
 
 
 class TestHardy:

@@ -299,7 +299,7 @@ class TestNormDrift:
     def test_memory_is_linear_in_grid_points(self):
         # one row block of the dense kernel alone would take 32 MB here
         state = GaussianPairState(1.0, 0.5)
-        x, dx = GridSpec(8192, extent=8.0).resolve(state)
+        x, dx = GridSpec(8192, extent=8.0).resolve(state, SlitCondition(1.0))
         tracemalloc.start()
         try:
             popper._grid_norm_drift(state, x, dx)

@@ -1,6 +1,5 @@
 """Core linear algebra: containers, reductions, Born rule."""
 
-import math
 import warnings
 
 import numpy as np
@@ -60,9 +59,19 @@ class TestContainers:
         with pytest.raises(ValueError, match="Hermitian"):
             Observable([[0.0, 1.0], [2.0, 0.0]])
 
+    def test_observable_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            Observable(np.zeros((2, 3)))
+
+    def test_expectation_refuses_an_operator_of_another_dimension(self):
+        with pytest.raises(ValueError, match="observable dimension does not match state dimension"):
+            qcore.expectation(singlet(), Observable(np.eye(2)))
+
     def test_setting_must_be_unit(self):
         with pytest.raises(ValueError, match="unit"):
             MeasurementSetting([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="setting must be a 3-vector, got size 2"):
+            MeasurementSetting([1.0, 0.0])
         s = MeasurementSetting.normalized([1.0, 1.0, 0.0])
         assert np.isclose(np.linalg.norm(s.direction), 1.0)
 
@@ -331,7 +340,7 @@ def test_qutrit_support():
     assert abs(sum(probabilities) - 1.0) < 1e-10
 
 
-PENTAGRAM = inequalities.kcbs_build_pentagram()
+DIRECTIONS, AXIS = inequalities.kcbs_build_pentagram()
 
 
 def with_entry(values, index, bad):
@@ -341,13 +350,11 @@ def with_entry(values, index, bad):
 
 
 # each constructor with one finite input replaced by the given non-finite value;
-# a key names the value type, and a suffix after "-" the input it breaks
+# a key names the value type or function, and a suffix after "-" the input it breaks
 NON_FINITE_INPUTS = {
     "StateVector": lambda bad: StateVector((2,), [bad, 0.0]),
     "Observable": lambda bad: Observable(with_entry(np.eye(2), (1, 1), bad)),
     "MeasurementSetting": lambda bad: MeasurementSetting([0.0, bad, 1.0]),
-    "FockState-real": lambda bad: fock.FockState({(1, 0): bad, (0, 1): 0.5}),
-    "FockState-imaginary": lambda bad: fock.FockState({(1, 0): complex(0.5, bad)}),
     "GaussianPairState-plus": lambda bad: popper.GaussianPairState(bad, 0.5),
     "GaussianPairState-minus": lambda bad: popper.GaussianPairState(1.0, bad),
     "SlitCondition-width": lambda bad: popper.SlitCondition(bad),
@@ -355,20 +362,16 @@ NON_FINITE_INPUTS = {
     "GridSpec-extent": lambda bad: popper.GridSpec(64, bad),
     "LocalHVTable": lambda bad: hvmodels.LocalHVTable(with_entry(np.full(8, 0.125), 3, bad)),
     "CorrelationRecord": lambda bad: inequalities.CorrelationRecord(with_entry(np.zeros((2, 2)), (0, 1), bad)),
-    "KcbsConfiguration-directions": lambda bad: inequalities.KcbsConfiguration(
-        with_entry(PENTAGRAM.directions, (2, 0), bad), PENTAGRAM.state_direction
-    ),
-    "KcbsConfiguration-state": lambda bad: inequalities.KcbsConfiguration(
-        PENTAGRAM.directions, with_entry(PENTAGRAM.state_direction, 2, bad)
-    ),
+    "kcbs_value-directions": lambda bad: inequalities.kcbs_value(with_entry(DIRECTIONS, (2, 0), bad), AXIS),
+    "kcbs_value-state": lambda bad: inequalities.kcbs_value(DIRECTIONS, with_entry(AXIS, 2, bad)),
 }
 
 
 # the refusal's wording, where it is pinned
 NON_FINITE_MESSAGES = {
     "Observable": "matrix entries must be finite",
-    "FockState-real": "amplitudes must be finite",
-    "FockState-imaginary": "amplitudes must be finite",
+    "kcbs_value-directions": "not orthogonal",
+    "kcbs_value-state": "state is not a finite unit vector",
 }
 
 
@@ -388,9 +391,9 @@ def test_every_checked_value_type_is_in_the_non_finite_table():
     assert sorted(set(value_types) - checked) == []
 
 
-# finite values whose squares pass the float range: the checks refuse them and
-# FockState.norm rescales, all without numpy's overflow warning; a plain test,
-# since a hypothesis test under this mark stops pytest on its first failure
+# finite values whose squares pass the float range: the checks refuse them
+# without numpy's overflow warning; a plain test, since a hypothesis test
+# under this mark stops pytest on its first failure
 @pytest.mark.filterwarnings("error")
 def test_overflowing_squares_raise_no_warning():
     with pytest.raises(ValueError, match=r"setting is not a finite unit vector: \|n\| = inf"):
@@ -399,7 +402,3 @@ def test_overflowing_squares_raise_no_warning():
         StateVector((2,), [1e200, 0.0])
     with pytest.raises(ValueError, match="state is not a finite unit vector"):
         product_probability([[1e200, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0])
-    assert fock.FockState({(0, 0): 1e200, (1, 0): 1e200}).norm == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
-    assert fock.FockState({(0, 0): 1e-200, (1, 0): 1e-200}).norm == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
-    # ordinary amplitudes keep np.linalg.norm's value
-    assert fock.FockState({(0, 0): 0.6, (1, 0): 0.8j}).norm == float(np.linalg.norm([0.6, 0.8j]))

@@ -97,6 +97,18 @@ def test_columns_that_do_not_fit_the_names_are_refused_before_any_text(render, d
         render(table)
 
 
+def test_a_value_of_no_json_type_is_refused():
+    with pytest.raises(TypeError, match="cannot serialize object value"):
+        render_json({"meta": [object()]})
+
+
+def test_a_row_of_the_wrong_width_is_refused():
+    table = ResultTable({}, ["a", "b"])
+    with pytest.raises(ValueError, match="row width 3 != 2 columns"):
+        table.add_row(0.5, 1.5, 2.5)
+    assert table.data == [[], []]
+
+
 def test_table_without_rows_renders():
     table = ResultTable({"scenario": "empty"}, ["a", "b"])
     assert render_table_json(table) == legacy_json(table)

@@ -14,10 +14,10 @@ from qfoundry import hvmodels, inequalities, popper, qcore, verify
 def test_tampered_kcbs_state_fails_with_reported_delta(monkeypatch):
     # same pentagram directions, probe state knocked off the symmetry axis:
     # the check must fail and carry the measured deviation
-    genuine = inequalities.kcbs_build_pentagram()
+    directions, _ = inequalities.kcbs_build_pentagram()
 
     def tampered():
-        return inequalities.KcbsConfiguration(genuine.directions, np.array([1.0, 0.0, 0.0]))
+        return directions, np.array([1.0, 0.0, 0.0])
 
     monkeypatch.setattr(inequalities, "kcbs_build_pentagram", tampered)
     passed, _, measured = verify.check_kcbs()
@@ -40,7 +40,7 @@ def test_tampered_kcbs_angle_fails_via_orthogonality(monkeypatch):
             ],
             axis=1,
         )
-        return inequalities.KcbsConfiguration(directions, np.array([0.0, 0.0, 1.0]))
+        return directions, np.array([0.0, 0.0, 1.0])
 
     monkeypatch.setattr(inequalities, "kcbs_build_pentagram", tampered)
     monkeypatch.setattr(
