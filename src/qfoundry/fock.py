@@ -116,9 +116,9 @@ def photon_atoms_entangle(noon1: FockState) -> StateVector:
 
     The atom in the mode the photon traversed is excited: |1,0> -> |e,g>,
     |0,1> -> |g,e| with qubit basis |0> = ground, |1> = excited.  The input
-    must be unit norm with support only on (1,0) and (0,1).
+    must be unit norm with support only on (1,0) and (0,1); NaN counts as support.
     """
-    if any((n_a, n_b) not in ((1, 0), (0, 1)) for n_a, n_b, _ in noon1.occupied()):
+    if any(key not in ((1, 0), (0, 1)) and not abs(v) <= AMPLITUDE_ATOL for key, v in noon1.amplitudes.items()):
         raise ValueError("input is not a single-photon path superposition")
     atoms = np.zeros(4, dtype=complex)
     atoms[2] = noon1.amplitude(1, 0)  # |e,g> = |1>|0>

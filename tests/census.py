@@ -1,6 +1,6 @@
 """Line census: the executable lines of ``src/qfoundry`` that the test suite never runs.
 
-    PYTHONPATH=src python tests/census.py [extra pytest arguments]
+    PYTHONPATH=src python tests/census.py
 
 Runs the Tier-1 suite in this process under ``sys.settrace`` and
 ``threading.settrace``; a module's executable lines are the line numbers of
@@ -42,27 +42,21 @@ def executable_lines(code):
     return lines
 
 
-def main(argv):
+def main():
     os.chdir(ROOT)
     files = {str(path): path for path in sorted(SRC.glob("*.py"))}
     ran = {name: set() for name in files}
 
     def trace(frame, event, arg):
         lines = ran.get(frame.f_code.co_filename)
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
-
-        def trace_lines(frame, event, arg):
+        if lines is not None:
             lines.add(frame.f_lineno)
-            return trace_lines
-
-        return trace_lines
+            return trace
 
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", *argv])
+        status = pytest.main(["-q"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -83,4 +77,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

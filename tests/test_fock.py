@@ -135,6 +135,8 @@ class TestPhotonAtoms:
     def test_rejects_multiphoton_input(self):
         with pytest.raises(ValueError, match="single-photon"):
             photon_atoms_entangle(noon_state(2))
+        with pytest.raises(ValueError, match="single-photon"):
+            photon_atoms_entangle(FockState({(1, 0): 0.6, (0, 1): 0.8, (2, 0): float("nan")}))
         with pytest.raises(ValueError, match="normalized"):
             photon_atoms_entangle(FockState({(0, 1): 0.5, (1, 0): 0.5}))
 
