@@ -250,7 +250,7 @@ def _scenario_chsh(args) -> ResultTable:
         for k, setting in enumerate(pair):
             for axis, component in zip("xyz", setting.direction):
                 values[f"{label}{k}_{axis}"] = float(component)
-    for (i, j), c in np.ndenumerate(optimum.record.c):
+    for (i, j), c in np.ndenumerate(optimum.record):
         values[f"c_{i}{j}"] = float(c)
     return _quantities(
         args,
@@ -463,8 +463,8 @@ def _scenario_popper(args) -> ResultTable:
 def _scenario_tlm(args) -> ResultTable:
     from . import inequalities
 
-    record = inequalities.CorrelationRecord(np.array([[args.c00, args.c01], [args.c10, args.c11]]))
-    outcome = inequalities.tlm_check(record)
+    c = np.array([[args.c00, args.c01], [args.c10, args.c11]])
+    outcome = inequalities.tlm_check(c)
     return _quantities(
         args,
         {"c00": args.c00, "c01": args.c01, "c10": args.c10, "c11": args.c11},
@@ -474,7 +474,7 @@ def _scenario_tlm(args) -> ResultTable:
             "rhs": outcome.rhs,
             "margin": outcome.rhs - outcome.lhs,
             "satisfied": outcome.satisfied,
-            "chsh_value": inequalities.chsh_value(record),
+            "chsh_value": inequalities.chsh_value(c),
         },
     )
 

@@ -224,7 +224,7 @@ def leggett_outcomes(params: LeggettModelParams, lam) -> tuple[np.ndarray, np.nd
 
 
 class LeggettExpectations(NamedTuple):
-    """Single- and two-party means with standard errors (0 when analytic)."""
+    """Single- and two-party means with standard errors; stderr and n_samples are 0 when analytic."""
 
     mean_a: float
     mean_b: float
@@ -233,8 +233,6 @@ class LeggettExpectations(NamedTuple):
     stderr_b: float
     stderr_ab: float
     n_samples: int
-    method: str
-    seed: int | None = None
 
 
 def _binary_stderr(mean: float, n: int) -> float:
@@ -357,7 +355,7 @@ def leggett_expectations(
         # AB is -1 on [0,x1) and [lambda_A,x2), +1 on [x1,lambda_A) and [x2,1];
         # consistency guarantees the ordering x1 <= lambda_A <= x2.
         mean_ab = 2.0 * lambda_a - 2.0 * x1 - 2.0 * x2 + 1.0
-        return LeggettExpectations(mean_a, mean_b, mean_ab, 0.0, 0.0, 0.0, 0, "analytic")
+        return LeggettExpectations(mean_a, mean_b, mean_ab, 0.0, 0.0, 0.0, 0)
 
     if method != "monte-carlo":
         raise ValueError(f"unknown method {method!r}")
@@ -400,8 +398,6 @@ def leggett_expectations(
         _binary_stderr(mean_b, n_samples),
         _binary_stderr(mean_ab, n_samples),
         n_samples,
-        "monte-carlo",
-        seed=seed,
     )
 
 

@@ -15,15 +15,14 @@ a whole scan of angles or all five pentagram directions, and the CHSH
 correlators through :func:`qcore.expectation`.
 Closed forms appear only as the bounds themselves, as documented
 cross-checks, or to choose the CHSH-optimal settings, which follow exactly
-from the singular values of the correlation matrix.  No code path here
-loads scipy.
+from the singular values of the correlation matrix.  Only
+:func:`minimize` loads scipy, and nothing in qfoundry calls it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,26 +43,20 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-@dataclass(frozen=True)
-class CorrelationRecord:
-    """Two-setting-per-party correlator table c[i, j] = <A_i B_j>."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 correlator table, got shape {c.shape}")
-        if not np.max(np.abs(c)) <= 1.0 + 1e-12:
-            raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {float(np.max(np.abs(c)))!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+def _correlator_tables(c) -> np.ndarray:
+    """``c`` as a float array of 2x2 correlator tables c[..., i, j], refused unless every entry is in [-1, 1] (up to 1e-12)."""
+    c = np.asarray(c, dtype=float)
+    if c.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 correlator tables, got shape {c.shape}")
+    if c.size and not np.max(np.abs(c)) <= 1.0 + 1e-12:
+        raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {float(np.max(np.abs(c)))!r}")
+    return c
 
 
-def chsh_value(record: CorrelationRecord) -> float:
-    """S = c00 + c01 + c10 - c11 (no clamping)."""
-    c = record.c
-    return float(c[0, 0] + c[0, 1] + c[1, 0] - c[1, 1])
+def chsh_value(c) -> float:
+    """S = c00 + c01 + c10 - c11 of a 2x2 correlator table (no clamping)."""
+    c = _correlator_tables(c)
+    return float(c[..., 0, 0] + c[..., 0, 1] + c[..., 1, 0] - c[..., 1, 1])
 
 
 def correlated_photon_pair() -> StateVector:
@@ -112,7 +105,7 @@ class ChshOptimum(NamedTuple):
     s_max: float
     settings_a: tuple[MeasurementSetting, MeasurementSetting]
     settings_b: tuple[MeasurementSetting, MeasurementSetting]
-    record: CorrelationRecord
+    record: np.ndarray  # the 2x2 correlator table at the optimum, clipped to [-1, 1], read-only
 
 
 def _chsh_planar_frames(state: StateVector):
@@ -143,7 +136,8 @@ def chsh_optimize(state: StateVector) -> ChshOptimum:
     c = np.array(
         [[setting_correlation(state, ai, bj) for bj in settings_b] for ai in settings_a]
     )
-    record = CorrelationRecord(np.clip(c, -1.0, 1.0))
+    record = np.clip(c, -1.0, 1.0)
+    record.setflags(write=False)
     return ChshOptimum(chsh_value(record), settings_a, settings_b, record)
 
 
@@ -364,22 +358,19 @@ def tlm_sides(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elementwise over the leading axes.  Raises ValueError unless every
     correlator is finite and within [-1, 1] (up to 1e-12).
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape[-2:] != (2, 2):
-        raise ValueError(f"expected 2x2 correlator tables, got shape {c.shape}")
-    if c.size and not np.max(np.abs(c)) <= 1.0 + 1e-12:
-        raise ValueError(f"correlators must lie in [-1, 1], got max |c| = {float(np.max(np.abs(c)))!r}")
+    c = _correlator_tables(c)
     lhs = np.abs(c[..., 0, 0] * c[..., 1, 0] - c[..., 0, 1] * c[..., 1, 1])
     slack = np.maximum(0.0, 1.0 - c * c)
     root = np.sqrt(slack[..., 0, :] * slack[..., 1, :])
     return lhs, root[..., 0] + root[..., 1]
 
 
-def tlm_check(record: CorrelationRecord) -> TlmResult:
-    """Quantum-realizability condition for a 2x2 correlator table.
+def tlm_check(c) -> TlmResult:
+    """Quantum-realizability condition for one 2x2 correlator table c[i, j].
 
     |c00 c10 - c01 c11| <= sum_j sqrt((1 - c0j^2)(1 - c1j^2)), necessary and
     sufficient for the four correlators to come from quantum measurements.
+    Refuses the same tables as :func:`tlm_sides`.
     """
-    lhs, rhs = tlm_sides(record.c)
+    lhs, rhs = tlm_sides(c)
     return TlmResult(float(lhs), float(rhs), bool(lhs <= rhs + 1e-12))

@@ -322,13 +322,9 @@ def check_tlm(seed: int = DEFAULT_SEED) -> tuple[bool, str, dict]:
     e = np.clip(_random_correlator_batch(seed + 1, trials), -1.0, 1.0)
     lhs, rhs = inequalities.tlm_sides(e)
     worst_margin = float(np.max(lhs - rhs))
-    pr_box = inequalities.tlm_check(
-        inequalities.CorrelationRecord(np.array([[1.0, 1.0], [1.0, -1.0]]))
-    )
+    pr_box = inequalities.tlm_check(np.array([[1.0, 1.0], [1.0, -1.0]]))
     r = 1.0 / math.sqrt(2.0)
-    singlet_optimal = inequalities.tlm_check(
-        inequalities.CorrelationRecord(np.array([[r, r], [r, -r]]))
-    )
+    singlet_optimal = inequalities.tlm_check(np.array([[r, r], [r, -r]]))
     equality_gap = abs(singlet_optimal.lhs - singlet_optimal.rhs)
     passed = (
         worst_margin <= 1e-12

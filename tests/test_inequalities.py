@@ -11,7 +11,6 @@ from helpers import hardy_probabilities_oracle, kcbs_value_oracle, polarization_
 from qfoundry import inequalities as ineq
 from qfoundry import qcore, verify
 from qfoundry.inequalities import (
-    CorrelationRecord,
     chsh_optimize,
     chsh_planar_grid_value,
     chsh_value,
@@ -84,11 +83,10 @@ class TestPolarizationProbability:
 
 class TestChsh:
     def test_pr_box_reaches_four(self):
-        record = CorrelationRecord(np.array([[1.0, 1.0], [1.0, -1.0]]))
-        assert chsh_value(record) == 4.0
+        assert chsh_value(np.array([[1.0, 1.0], [1.0, -1.0]])) == 4.0
 
     def test_uncorrelated_gives_zero(self):
-        assert chsh_value(CorrelationRecord(np.zeros((2, 2)))) == 0.0
+        assert chsh_value(np.zeros((2, 2))) == 0.0
 
     def test_singlet_optimal_angles_give_tsirelson(self):
         # E(a, b) = -a.b at the 45-degree-spaced planar settings
@@ -98,14 +96,21 @@ class TestChsh:
         for i, alpha in enumerate((a0, a1)):
             for j, beta in enumerate((b0, b1)):
                 c[i, j] = -math.cos(alpha - beta)
-        s = chsh_value(CorrelationRecord(c))
+        s = chsh_value(c)
         assert abs(s - 2.0 * SQRT2) < 1e-12
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            CorrelationRecord(np.array([[1.2, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            CorrelationRecord(np.zeros((3, 2)))
+        for evaluate in (chsh_value, tlm_check):
+            with pytest.raises(ValueError, match=r"correlators must lie in \[-1, 1\], got max \|c\| = 1.2"):
+                evaluate(np.array([[1.2, 0.0], [0.0, 0.0]]))
+            with pytest.raises(ValueError, match=r"expected 2x2 correlator tables, got shape \(3, 2\)"):
+                evaluate(np.zeros((3, 2)))
+
+    def test_optimum_record_is_read_only(self):
+        record = chsh_optimize(qcore.singlet()).record
+        assert not record.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            record[0, 0] = 0.0
 
     def test_correlation_matrix_takes_two_qubits(self):
         with pytest.raises(ValueError, match=r"expected a two-qubit state, got dims \(2, 3\)"):
@@ -113,8 +118,9 @@ class TestChsh:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_record_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="correlators"):
-            CorrelationRecord(np.array([[bad, 0.0], [0.0, 0.0]]))
+        for evaluate in (chsh_value, tlm_check):
+            with pytest.raises(ValueError, match="correlators"):
+                evaluate(np.array([[bad, 0.0], [0.0, 0.0]]))
 
     def test_optimizer_needs_no_numerical_search(self, monkeypatch):
         # the optimum is closed form: the scipy wrapper must never be reached
@@ -169,7 +175,7 @@ class TestChsh:
             c = np.array(
                 [[ineq.setting_correlation(state, a, b) for b in settings_b] for a in settings_a]
             )
-            worst = max(worst, abs(chsh_value(CorrelationRecord(np.clip(c, -1, 1)))))
+            worst = max(worst, abs(chsh_value(np.clip(c, -1, 1))))
         assert worst <= 2.0 * SQRT2 + 1e-9
 
 
@@ -284,7 +290,7 @@ class TestLeggettModelChsh:
             for j, beta in enumerate(angles_b):
                 params = LeggettModelParams(z, z, planar(alpha), planar(beta))
                 c[i, j] = leggett_expectations(params).mean_ab
-        assert abs(chsh_value(CorrelationRecord(c)) - 2.0 * SQRT2) < 1e-12
+        assert abs(chsh_value(c) - 2.0 * SQRT2) < 1e-12
 
     def test_model_never_beats_tsirelson_in_valid_plane(self):
         from qfoundry.hvmodels import LeggettModelParams, leggett_expectations
@@ -303,7 +309,7 @@ class TestLeggettModelChsh:
                         MeasurementSetting([np.cos(angles[2 + j]), np.sin(angles[2 + j]), 0.0]),
                     )
                     c[i, j] = leggett_expectations(params).mean_ab
-            assert abs(chsh_value(CorrelationRecord(c))) <= 2.0 * SQRT2 + 1e-12
+            assert abs(chsh_value(c)) <= 2.0 * SQRT2 + 1e-12
 
 
 class TestKcbs:
@@ -466,14 +472,14 @@ class TestHardy:
 
 class TestTlm:
     def test_pr_box_violates(self):
-        result = tlm_check(CorrelationRecord(np.array([[1.0, 1.0], [1.0, -1.0]])))
+        result = tlm_check(np.array([[1.0, 1.0], [1.0, -1.0]]))
         assert result.lhs == 2.0
         assert result.rhs == 0.0
         assert not result.satisfied
 
     def test_singlet_optimal_record_sits_at_equality(self):
         r = 1.0 / SQRT2
-        result = tlm_check(CorrelationRecord(np.array([[r, r], [r, -r]])))
+        result = tlm_check(np.array([[r, r], [r, -r]]))
         assert abs(result.lhs - 1.0) < 1e-12
         assert abs(result.rhs - 1.0) < 1e-12
         assert result.satisfied
@@ -494,7 +500,7 @@ class TestTlm:
                 -1.0,
                 1.0,
             )
-            result = tlm_check(CorrelationRecord(c))
+            result = tlm_check(c)
             assert result.lhs <= result.rhs + 1e-12
             assert result.satisfied
 
@@ -541,7 +547,7 @@ class TestTlmKernel:
         r = 1.0 / SQRT2
         c = np.array([[r, r], [r, -r]])
         lhs, rhs = tlm_sides(c)
-        result = tlm_check(CorrelationRecord(c))
+        result = tlm_check(c)
         assert (result.lhs, result.rhs) == (float(lhs), float(rhs))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1.0 - 1e-9])

@@ -361,7 +361,8 @@ NON_FINITE_INPUTS = {
     "SlitCondition-center": lambda bad: popper.SlitCondition(0.5, bad),
     "GridSpec-extent": lambda bad: popper.GridSpec(64, bad),
     "LocalHVTable": lambda bad: hvmodels.LocalHVTable(with_entry(np.full(8, 0.125), 3, bad)),
-    "CorrelationRecord": lambda bad: inequalities.CorrelationRecord(with_entry(np.zeros((2, 2)), (0, 1), bad)),
+    "chsh_value": lambda bad: inequalities.chsh_value(with_entry(np.zeros((2, 2)), (0, 1), bad)),
+    "tlm_check": lambda bad: inequalities.tlm_check(with_entry(np.zeros((2, 2)), (0, 1), bad)),
     "kcbs_value-directions": lambda bad: inequalities.kcbs_value(with_entry(DIRECTIONS, (2, 0), bad), AXIS),
     "kcbs_value-state": lambda bad: inequalities.kcbs_value(DIRECTIONS, with_entry(AXIS, 2, bad)),
 }
@@ -370,6 +371,8 @@ NON_FINITE_INPUTS = {
 # the refusal's wording, where it is pinned
 NON_FINITE_MESSAGES = {
     "Observable": "matrix entries must be finite",
+    "chsh_value": r"correlators must lie in \[-1, 1\]",
+    "tlm_check": r"correlators must lie in \[-1, 1\]",
     "kcbs_value-directions": "not orthogonal",
     "kcbs_value-state": "state is not a finite unit vector",
 }
