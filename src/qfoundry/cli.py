@@ -5,7 +5,7 @@ result table records the seed, grid parameters and toolkit version, plus a
 provenance map naming the module operation behind each column.  Exit codes:
 0 success, 2 parameter/validation error, 3 model inconsistency (the
 crypto-nonlocal construction has no valid intervals for the requested
-settings).  The seed, an integer >= 0, defaults to QFOUNDRY_SEED when set.
+settings).  The seed is --seed, an integer >= 0, else 2026.
 CSV metadata goes to a ``<output>.meta.json`` sidecar, or without
 ``--output`` to stderr while the CSV goes to stdout.
 
@@ -98,19 +98,9 @@ def _int_at_least(minimum: int):
     return parse
 
 
-# argparse types: the photon number of noon --n, and the RNG seed of --seed and QFOUNDRY_SEED
+# argparse types: the photon number of noon --n, and the RNG seed of --seed
 positive_int = _int_at_least(1)
 seed_int = _int_at_least(0)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("QFOUNDRY_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return seed_int(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"QFOUNDRY_SEED {exc}") from None
 
 
 def _parse_numbers(spec: str, name: str, count: int) -> list[float]:
@@ -540,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="result file path (default: stdout; verify: qfoundry_verify.json)")
     common.add_argument(
-        "--seed", type=seed_int, default=None, help="RNG seed, an integer >= 0 (default: QFOUNDRY_SEED or 2026)"
+        "--seed", type=seed_int, default=DEFAULT_SEED, help=f"RNG seed, an integer >= 0 (default: {DEFAULT_SEED})"
     )
     for name, scenario in SCENARIOS.items():
         sub = subparsers.add_parser(name, parents=[common], help=scenario.help)
@@ -590,8 +580,6 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(value, list):  # argparse in Python 3.11 parses --flag=-- as [], skipping type and choices
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if args.command == "verify":
             return _run_verify(args)
         _emit(SCENARIOS[args.command].run(args), args)

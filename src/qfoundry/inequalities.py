@@ -16,7 +16,8 @@ correlators through :func:`qcore.expectation`.
 Closed forms appear only as the bounds themselves, as documented
 cross-checks, or to choose the CHSH-optimal settings, which follow exactly
 from the singular values of the correlation matrix.  Only
-:func:`minimize` loads scipy, and nothing in qfoundry calls it.
+:func:`minimize` loads scipy, which qfoundry does not declare and must be
+installed separately; nothing in qfoundry calls it (ROADMAP items 1b, 1c).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 KCBS_QUANTUM_VALUE = 5.0 - 4.0 * math.sqrt(5.0)
 
 
-# Nothing in qfoundry calls this; it is kept only because perfbench/tracer.py
-# wraps it to count Nelder-Mead evaluations.
+# Needs scipy installed separately, and nothing in qfoundry calls it: it is kept only for
+# perfbench/tracer.py to wrap and count Nelder-Mead evaluations, until ROADMAP items 1b and 1c.
 def minimize(fun, x0, **kwargs):
     """scipy.optimize.minimize, imported on the first call so that importing qfoundry does not load scipy."""
     from scipy.optimize import minimize as scipy_minimize

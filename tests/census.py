@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qfoundry"
 
 TYPE_CHECKING_IMPORT = "a TYPE_CHECKING import, for annotations only"
-MINIMIZE = "inequalities.minimize is the benchmark tracer's hook; it goes when scipy is dropped"
+MINIMIZE = "inequalities.minimize, the tracer's hook: needs scipy installed separately, nothing calls it, ROADMAP 1b/1c"
 
 # (module file, line text) -> why no test runs it
 EXEMPT = {

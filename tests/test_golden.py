@@ -94,8 +94,7 @@ for name, argv in {**README_EXAMPLES, **SCENARIO_EXAMPLES}.items():
 
 
 @pytest.mark.parametrize("name", list(FIXTURES))
-def test_output_matches_golden_bytes(name, monkeypatch):
-    monkeypatch.delenv("QFOUNDRY_SEED", raising=False)
+def test_output_matches_golden_bytes(name):
     assert FIXTURES[name]().encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
@@ -118,7 +117,6 @@ def test_every_module_name_in_the_readme_exists():
 
 
 if __name__ == "__main__":
-    os.environ.pop("QFOUNDRY_SEED", None)
     for name, produce in FIXTURES.items():
         data = produce().encode("utf-8")
         path = GOLDEN / name

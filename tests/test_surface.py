@@ -10,6 +10,9 @@ For a module-level name a reference is a ``module.NAME`` access, a
 method it is an attribute access by its name.  The README block is also
 run here, so the names it shows are known to work, and its list of the
 library value types must name exactly the validated dataclasses in ``src/``.
+The package declares numpy as its one runtime dependency, and ``src/``
+imports nothing beyond the standard library, numpy and itself, save the
+imports listed in ``OPTIONAL_IMPORTS`` with their reasons.
 
 The test files are parsed too: no hypothesis test may run under a
 ``filterwarnings("error")`` mark.  The hypothesis plugin reports a failing
@@ -25,21 +28,29 @@ import importlib
 import io
 import pathlib
 import re
+import sys
 import textwrap
+
+import pytest
 
 from helpers import validated_value_types
 
 TESTS = pathlib.Path(__file__).parent
 SRC = TESTS.parent / "src" / "qfoundry"
 README = pathlib.Path(__file__).parents[1] / "README.md"
+PYPROJECT = TESTS.parent / "pyproject.toml"
 MODULES = {path.stem: path for path in sorted(SRC.glob("*.py"))}
 
 ALLOWED = {
-    "inequalities.minimize": "the benchmark tracer's hook; it goes when scipy is dropped",
+    "inequalities.minimize": "the tracer's hook; needs scipy installed separately, nothing calls it; ROADMAP 1b/1c",
     "inequalities.chsh_planar_grid_value": "the oracle of the bounds benchmark's check",
     "hvmodels.poincare_outcome": "the local model's rule, which the README names; no scenario or check calls it",
     "hvmodels.leggett_outcomes": "a model rule the README names; the tests use it as the sampler's oracle",
     "report.ResultTable.add_row": "perfbench/tests builds a table row by row",
+}
+# (module, top-level package) -> why ``src/`` may import a package it does not declare
+OPTIONAL_IMPORTS = {
+    ("inequalities", "scipy"): "the lazy import inside inequalities.minimize, which nothing calls",
 }
 
 
@@ -129,6 +140,24 @@ def test_readme_lists_the_validated_value_types():
     listed = re.search(r"The library value types \(([^)]*)\)", README.read_text(encoding="utf-8")).group(1)
     assert value_types
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(value_types)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qfoundry"}
+    imported = set()
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((module, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((module, node.module.split(".")[0]))
+    assert {(module, name) for module, name in imported if name not in allowed} == set(OPTIONAL_IMPORTS)
 
 
 def errors_on_warnings(node):
