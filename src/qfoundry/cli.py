@@ -27,7 +27,6 @@ import collections
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy first loads OpenBLAS
 
@@ -35,9 +34,6 @@ import numpy as np  # noqa: E402
 
 from . import DEFAULT_SEED, MAX_GRID_POINTS, ModelInconsistentError, __version__  # noqa: E402
 from .report import ResultTable, render_table_csv, render_table_csv_sidecar, render_table_json  # noqa: E402
-
-if TYPE_CHECKING:
-    from .qcore import MeasurementSetting, StateVector
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,7 +110,7 @@ def _parse_numbers(spec: str, name: str, count: int) -> list[float]:
     return values
 
 
-def _parse_vector(spec: str, name: str) -> MeasurementSetting:
+def _parse_vector(spec: str, name: str):
     from .qcore import MeasurementSetting
 
     components = _parse_numbers(spec, name, 3)
@@ -214,7 +210,7 @@ def _scenario_polarization(args) -> ResultTable:
     )
 
 
-def _chsh_state(state: str, gamma_deg: float | None) -> StateVector:
+def _chsh_state(state: str, gamma_deg: float | None):
     from . import qcore
 
     if state == "singlet":

@@ -23,7 +23,8 @@ Three models live here:
   self-consistent when |a.b + u.a| <= 1 - v.b and |a.b - u.a| <= 1 + v.b;
   these two branches are equivalent to 0 <= x1 <= lambda_A <= x2 <= 1, and
   hold for every a, b in the plane perpendicular to u and v.  Outside that
-  region :class:`ModelInconsistentError` is raised.
+  region the :class:`LeggettModelParams` constructor raises
+  :class:`ModelInconsistentError`, so no call checks the settings again.
 
 The outcome rules :func:`poincare_outcome` and :func:`leggett_outcomes` take
 arrays of lambda, refuse any lambda outside [0, 1] (NaN included), and are
@@ -56,15 +57,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import ModelInconsistentError
 from .qcore import MeasurementSetting
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 CONSISTENCY_ATOL = 1e-12
 # lambdas drawn and reduced at a time by the Monte Carlo sampler; even, so
@@ -85,8 +83,8 @@ LOCAL_HV_ROWS: tuple[tuple[int, int, int], ...] = tuple(itertools.product((+1, -
 SETTING_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (2, 0))
 
 
-def row_same_fraction(row: tuple[int, int, int]) -> Fraction:
-    """Fraction of the three mismatched setting pairs with equal outcomes."""
+def row_same_fraction(row: tuple[int, int, int]):
+    """Fraction of the three mismatched setting pairs with equal outcomes, as a ``Fraction``."""
     from fractions import Fraction  # here, so that the Leggett model mode never loads it
 
     hits = sum(1 for i, j in SETTING_PAIRS if row[i] == row[j])
@@ -126,8 +124,8 @@ def lhv_same_probability(table: LocalHVTable) -> float:
     return float(table.weights @ fractions)
 
 
-def lhv_minimum_same_probability() -> Fraction:
-    """Exact minimum of the same-outcome probability over the weight simplex.
+def lhv_minimum_same_probability():
+    """Exact minimum of the same-outcome probability over the weight simplex, as a ``Fraction``.
 
     The probability is affine in the weights, so the minimum over the
     simplex is attained at a vertex; it suffices to enumerate the rows.
@@ -137,12 +135,23 @@ def lhv_minimum_same_probability() -> Fraction:
 
 @dataclass(frozen=True)
 class LeggettModelParams:
-    """Initial polarizations (u, v) and analyzer settings (a, b)."""
+    """Initial polarizations (u, v) and analyzer settings (a, b), refused unless consistent.
+
+    Raises :class:`ModelInconsistentError` unless |a.b +- u.a| <= 1 -+ v.b, to ``CONSISTENCY_ATOL``.
+    """
 
     u: MeasurementSetting
     v: MeasurementSetting
     a: MeasurementSetting
     b: MeasurementSetting
+
+    def __post_init__(self):
+        ua, vb, ab = self.ua, self.vb, self.ab
+        if not (abs(ab + ua) <= 1.0 - vb + CONSISTENCY_ATOL and abs(ab - ua) <= 1.0 + vb + CONSISTENCY_ATOL):
+            raise ModelInconsistentError(
+                "settings violate the model consistency condition "
+                f"|a.b +- u.a| <= 1 -+ v.b (u.a = {ua:.6g}, v.b = {vb:.6g}, a.b = {ab:.6g})"
+            )
 
     @property
     def ua(self) -> float:
@@ -164,26 +173,6 @@ def leggett_thresholds(params: LeggettModelParams) -> tuple[float, float, float]
     x1 = 0.25 * (1.0 + ua - vb + ab)
     x2 = 0.25 * (3.0 + ua + vb + ab)
     return lambda_a, x1, x2
-
-
-def leggett_is_consistent(params: LeggettModelParams) -> bool:
-    """Whether the interval construction is valid for these settings.
-
-    Checks |a.b + u.a| <= 1 - v.b and |a.b - u.a| <= 1 + v.b, which is
-    equivalent to 0 <= x1 <= lambda_A <= x2 <= 1.
-    """
-    ua, vb, ab = params.ua, params.vb, params.ab
-    return abs(ab + ua) <= 1.0 - vb + CONSISTENCY_ATOL and abs(ab - ua) <= 1.0 + vb + CONSISTENCY_ATOL
-
-
-def _require_consistent(params: LeggettModelParams) -> None:
-    if not leggett_is_consistent(params):
-        ua, vb, ab = params.ua, params.vb, params.ab
-        raise ModelInconsistentError(
-            "settings violate the model consistency condition "
-            f"|a.b +- u.a| <= 1 -+ v.b (u.a = {ua:.6g}, v.b = {vb:.6g}, "
-            f"a.b = {ab:.6g})"
-        )
 
 
 def _hidden_variable(lam) -> np.ndarray:
@@ -215,10 +204,10 @@ def poincare_outcome(setting: MeasurementSetting, lam) -> np.ndarray:
 def leggett_outcomes(params: LeggettModelParams, lam) -> tuple[np.ndarray, np.ndarray]:
     """Crypto-nonlocal rule: +-1 integer outcomes (A, B), each of ``lam``'s shape.
 
-    A = +1 on [0, lambda_A] and B = +1 on [x1, x2] (:func:`leggett_thresholds`).
+    A = +1 on [0, lambda_A] and B = +1 on [x1, x2] (:func:`leggett_thresholds`);
+    ``params`` is consistent by construction, so only ``lam`` is checked.
     """
     lam = _hidden_variable(lam)
-    _require_consistent(params)
     lambda_a, x1, x2 = leggett_thresholds(params)
     return np.where(lam <= lambda_a, 1, -1), np.where((x1 <= lam) & (lam <= x2), 1, -1)
 
@@ -248,39 +237,36 @@ def pool_size(tasks: int) -> int:
 def parallel_map(fn: Callable, *iterables: Iterable) -> list:
     """``[fn(*args) for args in zip(*iterables)]`` on ``pool_size(n)`` threads.
 
-    The calling thread is one worker, so a single job starts no thread.
-    Workers take the next job index under a lock; results keep the input
-    order.  After a job raises, no worker starts a new one, and once every
-    thread has joined the exception of the lowest failed index is re-raised,
-    as a serial loop would.  Threads pay off for jobs that spend their time
-    in numpy calls that release the GIL.
+    The split is fixed: with W = ``pool_size(n)``, worker w runs jobs w,
+    w + W, w + 2W, ... in order and stops at its first failure; the calling
+    thread is worker 0, so W - 1 threads start.  Workers write only their
+    own slots, so no lock is needed.  Once every thread has joined, the
+    exception of the lowest failed index is re-raised; every job below it
+    has run, so results and exception are a serial loop's.  Threads pay off
+    for jobs of equal cost that spend their time in numpy calls that release the GIL.
     """
     jobs = list(zip(*iterables))
+    workers = pool_size(len(jobs))
     results = [None] * len(jobs)
-    failures: list[tuple[int, BaseException]] = []
-    indices = iter(range(len(jobs)))
-    lock = threading.Lock()
+    stops = [len(jobs)] * workers  # the index at which worker w failed, if it did
 
-    def work() -> None:
-        while True:
-            with lock:
-                index = None if failures else next(indices, None)
-            if index is None:
-                return
+    def work(w: int) -> None:
+        for index in range(w, len(jobs), workers):
             try:
                 results[index] = fn(*jobs[index])
             except BaseException as exc:
-                with lock:
-                    failures.append((index, exc))
+                results[index], stops[w] = exc, index
+                return
 
-    threads = [threading.Thread(target=work) for _ in range(pool_size(len(jobs)) - 1)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    work()
+    work(0)
     for thread in threads:
         thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    first_failure = min(stops)
+    if first_failure < len(jobs):
+        raise results[first_failure]
     return results
 
 
@@ -344,9 +330,9 @@ def leggett_expectations(
     so 10^6 samples draw one substream.  The substreams run on up to
     min(shards, usable CPUs) threads (:func:`parallel_map`); each returns
     three integer counts and the counts are summed, so the result depends
-    on the seed and shard count but never on the CPU count.
+    on the seed and shard count but never on the CPU count.  ``params`` is
+    consistent by construction, so no method checks it again.
     """
-    _require_consistent(params)
     lambda_a, x1, x2 = leggett_thresholds(params)
 
     if method == "analytic":

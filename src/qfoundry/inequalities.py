@@ -60,10 +60,9 @@ def chsh_value(c) -> float:
     return float(c[..., 0, 0] + c[..., 0, 1] + c[..., 1, 0] - c[..., 1, 1])
 
 
-def correlated_photon_pair() -> StateVector:
-    """(|HH> + |VV>)/sqrt(2) with |H> = |0>, |V> = |1>."""
-    amplitudes = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return StateVector((2, 2), amplitudes)
+# the correlated pair (|HH> + |VV>)/sqrt(2), |H> = |0> and |V> = |1>, as its amplitude matrix psi[i, j]
+_CORRELATED_PAIR = np.array([[1, 0], [0, 1]], dtype=complex) / np.sqrt(2.0)
+_CORRELATED_PAIR.setflags(write=False)
 
 
 def qm_same_polarization_probability(theta_rel):
@@ -76,11 +75,10 @@ def qm_same_polarization_probability(theta_rel):
     analytically p_same = cos^2(theta) and p_both_pass = cos^2(theta)/2.
     """
     theta = np.asarray(theta_rel, dtype=float)
-    pair = correlated_photon_pair().amplitudes.reshape(2, 2)
     pass_2 = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     block_2 = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    p_both_pass = qcore.product_probability(pair, [1.0, 0.0], pass_2)
-    p_both_block = qcore.product_probability(pair, [0.0, 1.0], block_2)
+    p_both_pass = qcore.product_probability(_CORRELATED_PAIR, [1.0, 0.0], pass_2)
+    p_both_block = qcore.product_probability(_CORRELATED_PAIR, [0.0, 1.0], block_2)
     return p_both_pass + p_both_block, p_both_pass
 
 

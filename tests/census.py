@@ -20,13 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qfoundry"
 
-TYPE_CHECKING_IMPORT = "a TYPE_CHECKING import, for annotations only"
 MINIMIZE = "inequalities.minimize, the tracer's hook: needs scipy installed separately, nothing calls it, ROADMAP 1b/1c"
 
 # (module file, line text) -> why no test runs it
 EXEMPT = {
-    ("cli.py", "from .qcore import MeasurementSetting, StateVector"): TYPE_CHECKING_IMPORT,
-    ("hvmodels.py", "from fractions import Fraction"): TYPE_CHECKING_IMPORT,
     ("cli.py", "sys.exit(main())"): "runs only when cli.py is the __main__ script, in a child process",
     ("inequalities.py", "from scipy.optimize import minimize as scipy_minimize"): MINIMIZE,
     ("inequalities.py", "return scipy_minimize(fun, x0, **kwargs)"): MINIMIZE,

@@ -20,7 +20,6 @@ from qfoundry.hvmodels import (
     ModelInconsistentError,
     fibonacci_sphere,
     leggett_expectations,
-    leggett_is_consistent,
     leggett_outcomes,
     lhv_minimum_same_probability,
     lhv_same_probability,
@@ -144,19 +143,24 @@ class TestLeggettOutcomes:
         assert leggett_outcomes(params, 0.7)[0] == -1
 
     def test_perpendicular_plane_always_consistent(self):
+        # the constructor refuses inconsistent settings, so building each set is the check
         rng = np.random.default_rng(43)
         for _ in range(300):
-            params = in_plane_params(*rng.uniform(0.0, 2.0 * np.pi, size=2))
-            assert leggett_is_consistent(params)
+            lambda_a, x1, x2 = hvmodels.leggett_thresholds(in_plane_params(*rng.uniform(0.0, 2.0 * np.pi, size=2)))
+            assert 0.0 <= x1 <= lambda_a <= x2 <= 1.0
 
     def test_inconsistent_settings_raise(self):
         z = MeasurementSetting([0.0, 0.0, 1.0])
-        params = LeggettModelParams(z, z, z, z)  # x2 = 3/2 > 1
-        assert not leggett_is_consistent(params)
-        with pytest.raises(ModelInconsistentError):
-            leggett_outcomes(params, 0.5)
-        with pytest.raises(ModelInconsistentError):
-            leggett_expectations(params)
+        x = MeasurementSetting([1.0, 0.0, 0.0])
+        message = (
+            r"^settings violate the model consistency condition \|a\.b \+- u\.a\| <= 1 -\+ v\.b "
+            r"\(u\.a = 1, v\.b = 1, a\.b = 1\)$"
+        )
+        with pytest.raises(ModelInconsistentError, match=message):
+            LeggettModelParams(z, z, z, z)  # x2 = 3/2 > 1
+        # the second branch alone: |a.b - u.a| = 1 > 1 + v.b = 0
+        with pytest.raises(ModelInconsistentError, match="a.b = 0"):
+            LeggettModelParams(z, x, z, MeasurementSetting([-1.0, 0.0, 0.0]))
 
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
@@ -179,13 +183,15 @@ class TestLeggettOutcomes:
     def test_midpoint_grid_means_match_analytic(self, theta_a, theta_b, tilt_u, tilt_v, n):
         # analyzers in the xy-plane, u tilted towards x and v towards y; each
         # threshold moves a midpoint-grid mean by at most 2/n, and AB changes at three
-        params = LeggettModelParams(
-            MeasurementSetting([np.sin(tilt_u), 0.0, np.cos(tilt_u)]),
-            MeasurementSetting([0.0, np.sin(tilt_v), np.cos(tilt_v)]),
-            MeasurementSetting([np.cos(theta_a), np.sin(theta_a), 0.0]),
-            MeasurementSetting([np.cos(theta_b), np.sin(theta_b), 0.0]),
-        )
-        assume(leggett_is_consistent(params))
+        try:
+            params = LeggettModelParams(
+                MeasurementSetting([np.sin(tilt_u), 0.0, np.cos(tilt_u)]),
+                MeasurementSetting([0.0, np.sin(tilt_v), np.cos(tilt_v)]),
+                MeasurementSetting([np.cos(theta_a), np.sin(theta_a), 0.0]),
+                MeasurementSetting([np.cos(theta_b), np.sin(theta_b), 0.0]),
+            )
+        except ModelInconsistentError:
+            assume(False)
         analytic = leggett_expectations(params, method="analytic")
         a_out, b_out = leggett_outcomes(params, (np.arange(n) + 0.5) / n)
         assert abs(a_out.mean() - analytic.mean_a) <= 8.0 / n
@@ -391,7 +397,6 @@ class TestChunkedSampler:
     def test_boundary_settings_identical_to_float_reference(self, case):
         settings, thresholds = self.BOUNDARY_SETTINGS[case]
         params = LeggettModelParams(*settings)
-        assert leggett_is_consistent(params)
         assert hvmodels.leggett_thresholds(params) == thresholds
         n_samples = self.CHUNK + 1
         result = leggett_expectations(params, method="monte-carlo", n_samples=n_samples, seed=13)
@@ -557,6 +562,37 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="job 2 failed"):
             hvmodels.parallel_map(job, range(6))
         assert threading.active_count() == threads_before
+
+    def test_worker_w_runs_jobs_w_mod_pool_size_and_stops_at_its_failure(self, monkeypatch):
+        monkeypatch.setattr(hvmodels, "pool_size", lambda tasks: 3)
+        # jobs 0, 1 and 2 pass the barrier together, so the three workers are
+        # alive at once and their thread idents are distinct
+        barrier = threading.Barrier(3)
+
+        def job(index):
+            if index < 3:
+                barrier.wait(timeout=10)
+            return threading.get_ident()
+
+        threads_before = threading.active_count()
+        idents = hvmodels.parallel_map(job, range(7))
+        assert threading.active_count() == threads_before
+        assert idents[0] == threading.get_ident()  # the calling thread is worker 0
+        assert len(set(idents[:3])) == 3
+        assert idents == [idents[i % 3] for i in range(7)]
+
+        ran = []
+
+        def failing_job(index):
+            if index == 0:
+                raise ValueError("job 0 failed")
+            ran.append(index)  # list.append is atomic under the GIL
+            return index
+
+        with pytest.raises(ValueError, match="job 0 failed"):
+            hvmodels.parallel_map(failing_job, range(7))
+        # worker 0 stops at job 0, so its jobs 3 and 6 never run; workers 1 and 2 run all of theirs
+        assert sorted(ran) == [1, 2, 4, 5]
 
 
 class TestOutcomeRules:

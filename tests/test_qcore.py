@@ -361,6 +361,10 @@ NON_FINITE_INPUTS = {
     "SlitCondition-center": lambda bad: popper.SlitCondition(0.5, bad),
     "GridSpec-extent": lambda bad: popper.GridSpec(64, bad),
     "LocalHVTable": lambda bad: hvmodels.LocalHVTable(with_entry(np.full(8, 0.125), 3, bad)),
+    # a consistent set with u non-finite: its MeasurementSetting field refuses it before the model sees it
+    "LeggettModelParams": lambda bad: hvmodels.LeggettModelParams(
+        MeasurementSetting([0.0, bad, 1.0]), *(MeasurementSetting(e) for e in ([0, 0, 1], [1, 0, 0], [0, 1, 0]))
+    ),
     "chsh_value": lambda bad: inequalities.chsh_value(with_entry(np.zeros((2, 2)), (0, 1), bad)),
     "tlm_check": lambda bad: inequalities.tlm_check(with_entry(np.zeros((2, 2)), (0, 1), bad)),
     "kcbs_value-directions": lambda bad: inequalities.kcbs_value(with_entry(DIRECTIONS, (2, 0), bad), AXIS),

@@ -12,7 +12,9 @@ run here, so the names it shows are known to work, and its list of the
 library value types must name exactly the validated dataclasses in ``src/``.
 The package declares numpy as its one runtime dependency, and ``src/``
 imports nothing beyond the standard library, numpy and itself, save the
-imports listed in ``OPTIONAL_IMPORTS`` with their reasons.
+imports listed in ``OPTIONAL_IMPORTS`` with their reasons.  Only
+``hvmodels``, home of ``parallel_map``, imports ``threading``, and no module
+imports ``_thread``, ``multiprocessing`` or ``concurrent.futures``.
 
 The test files are parsed too: no hypothesis test may run under a
 ``filterwarnings("error")`` mark.  The hypothesis plugin reports a failing
@@ -148,16 +150,31 @@ def test_numpy_is_the_only_runtime_dependency():
     assert project["dependencies"] == ["numpy>=1.24"]
 
 
-def test_src_imports_only_the_standard_library_numpy_and_itself():
-    allowed = set(sys.stdlib_module_names) | {"numpy", "qfoundry"}
+def src_imports():
+    """(module, dotted name) of each absolute import in ``src/``; ``from a import b`` gives ``a.b``."""
     imported = set()
     for module, path in MODULES.items():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                imported.update((module, alias.name.split(".")[0]) for alias in node.names)
+                imported.update((module, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add((module, node.module.split(".")[0]))
-    assert {(module, name) for module, name in imported if name not in allowed} == set(OPTIONAL_IMPORTS)
+                imported.update((module, f"{node.module}.{alias.name}") for alias in node.names)
+    return imported
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qfoundry"}
+    packages = {(module, name.split(".")[0]) for module, name in src_imports()}
+    assert {(module, name) for module, name in packages if name not in allowed} == set(OPTIONAL_IMPORTS)
+
+
+def test_only_parallel_map_starts_threads():
+    # the same bytes for any worker count rest on every thread's result going
+    # through parallel_map's index-ordered list, so no other module may start one
+    concurrent = {"threading", "_thread", "multiprocessing", "concurrent"}
+    assert {(module, name) for module, name in src_imports() if name.split(".")[0] in concurrent} == {
+        ("hvmodels", "threading")
+    }
 
 
 def errors_on_warnings(node):
